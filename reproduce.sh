@@ -82,6 +82,11 @@ cmake --build build-bench --target bench_solver_comparison \
 # family); exits nonzero if the two arms' result fingerprints disagree.
 ./build-bench/bench/bench_incremental --deltas 64 --family large \
   --json BENCH_incremental.json
+# The repository benchmark (perfbench/, BENCHMARK.json) builds the library
+# from src/ on its own; its smoke test runs every workload at 1x, untraced
+# and traced, and fails on a build break, a failed answer verification or a
+# metric list that drifts from BENCHMARK.json.
+python3 perfbench/smoke_test.py
 
 # Sanitizer pass: rebuild everything with AddressSanitizer + UBSan and re-run
 # the test suite. Memory errors in the runtime substrate (thread pool, shared

@@ -47,29 +47,19 @@ class TupleRemap {
   std::vector<std::vector<size_t>> dead_;
 };
 
-/// Removes `id` from the kill row of `ref`, dropping the key once empty so
-/// the map's key set stays exactly "refs occurring in some witness".
-void EraseKillEntry(
-    std::unordered_map<TupleRef, std::vector<ViewTupleId>, TupleRefHash>&
-        kill_map,
-    const TupleRef& ref, const ViewTupleId& id) {
-  auto it = kill_map.find(ref);
-  if (it == kill_map.end()) return;
-  std::vector<ViewTupleId>& list = it->second;
-  auto pos = std::lower_bound(list.begin(), list.end(), id);
-  if (pos != list.end() && *pos == id) list.erase(pos);
-  if (list.empty()) kill_map.erase(it);
-}
-
-/// Adds `id` to the kill row of `ref`, keeping the row sorted ascending and
-/// deduplicated — the invariant IndexWitnesses establishes.
-void InsertKillEntry(
-    std::unordered_map<TupleRef, std::vector<ViewTupleId>, TupleRefHash>&
-        kill_map,
-    const TupleRef& ref, const ViewTupleId& id) {
-  std::vector<ViewTupleId>& list = kill_map[ref];
-  auto pos = std::lower_bound(list.begin(), list.end(), id);
-  if (pos == list.end() || !(*pos == id)) list.insert(pos, id);
+/// Appends the kill row of `ref` in `core` — the view tuples having `ref` in
+/// some witness, ascending — to `out`; nothing if no witness uses `ref`.
+void AppendKillRow(const PlanCore& core, const TupleRef& ref,
+                   std::vector<ViewTupleId>* out) {
+  auto it = std::lower_bound(core.base_refs.begin(), core.base_refs.end(), ref);
+  if (it == core.base_refs.end() || !(*it == ref)) return;
+  size_t base = static_cast<size_t>(it - core.base_refs.begin());
+  for (uint32_t slot = core.base_kill_first[base];
+       slot < core.base_kill_first[base + 1]; ++slot) {
+    uint32_t dense = core.kill_tuple[slot];
+    uint32_t view = core.tuple_view[dense];
+    out->push_back(ViewTupleId{view, dense - core.view_first[view]});
+  }
 }
 
 bool WitnessHits(const Witness& witness, const DeletionSet& deleted) {
@@ -106,7 +96,7 @@ Result<VseInstance> VseInstance::Create(
       instance.all_key_preserving_ = false;
     }
   }
-  if (Status s = instance.IndexWitnesses(); !s.ok()) return s;
+  if (Status s = instance.ValidateWitnesses(); !s.ok()) return s;
   return instance;
 }
 
@@ -134,7 +124,7 @@ Result<VseInstance> VseInstance::CreateFromMaterializedViews(
       instance.all_key_preserving_ = false;
     }
   }
-  if (Status s = instance.IndexWitnesses(); !s.ok()) return s;
+  if (Status s = instance.ValidateWitnesses(); !s.ok()) return s;
   return instance;
 }
 
@@ -171,61 +161,50 @@ Result<VseInstance> VseInstance::CreateByFiltering(
     }
     instance.structure_->views.push_back(std::move(view));
   }
-  if (Status s = instance.IndexWitnesses(); !s.ok()) return s;
+  if (Status s = instance.ValidateWitnesses(); !s.ok()) return s;
   return instance;
 }
 
-Status VseInstance::IndexWitnesses() {
+Status VseInstance::ValidateWitnesses() {
   internal::ViewStructure& structure = *structure_;
   structure.multi_witness_tuples = 0;
   const Schema& schema = database_->schema();
-  // Reserve for the worst case (every witness member a distinct ref) so the
-  // kill-map build never rehashes mid-loop.
-  size_t total_members = 0;
-  for (const View& view : structure.views) {
-    for (size_t t = 0; t < view.size(); ++t) {
-      for (const Witness& witness : view.tuple(t).witnesses) {
-        total_members += witness.size();
-      }
-    }
-  }
-  structure.kill_map.reserve(total_members);
   for (size_t v = 0; v < structure.views.size(); ++v) {
     const View& view = structure.views[v];
     const ConjunctiveQuery& query = *queries_[v];
-    std::string where = "view " + std::to_string(v);
     for (size_t t = 0; t < view.size(); ++t) {
       const ViewTuple& tuple = view.tuple(t);
+      // Error prefixes are rendered only on failure: this loop visits every
+      // view tuple at load time.
+      auto where = [&] {
+        return "view " + std::to_string(v) + " tuple " + std::to_string(t);
+      };
       // A tuple of the wrong shape (e.g. pasted in from another view) cannot
       // be rendered safely, so check arity before touching the dictionary.
       if (tuple.values.size() != query.arity()) {
         return Status::InvalidArgument(
-            where + " tuple " + std::to_string(t) + " has " +
-            std::to_string(tuple.values.size()) +
+            where() + " has " + std::to_string(tuple.values.size()) +
             " head values but query '" + query.name() + "' has arity " +
             std::to_string(query.arity()) +
             "; it does not belong to this view");
       }
-      std::string who =
-          where + " tuple " + std::to_string(t) + " (" + view.RenderTuple(t) +
-          ")";
+      auto who = [&] { return where() + " (" + view.RenderTuple(t) + ")"; };
       if (tuple.witnesses.empty()) {
         return Status::InvalidArgument(
-            who +
+            who() +
             " has no witnesses; it could never be deleted or preserved "
             "consistently");
       }
       if (tuple.witnesses.size() > 1) ++structure.multi_witness_tuples;
-      ViewTupleId id{v, t};
-      std::unordered_set<TupleRef, TupleRefHash> seen;
       for (const Witness& witness : tuple.witnesses) {
         if (witness.empty()) {
           return Status::InvalidArgument(
-              who + " has an empty witness; deleting it would be impossible");
+              who() +
+              " has an empty witness; deleting it would be impossible");
         }
         if (witness.size() != query.atoms().size()) {
           return Status::InvalidArgument(
-              who + " has a witness of " + std::to_string(witness.size()) +
+              who() + " has a witness of " + std::to_string(witness.size()) +
               " base tuple(s) for a body of " +
               std::to_string(query.atoms().size()) + " atom(s)");
         }
@@ -235,26 +214,23 @@ Status VseInstance::IndexWitnesses() {
           // on the relation the body atom names.
           if (ref.relation >= schema.relation_count()) {
             return Status::InvalidArgument(
-                who + " has a dangling witness: relation id " +
+                who() + " has a dangling witness: relation id " +
                 std::to_string(ref.relation) + " does not exist");
           }
           if (ref.relation != query.atoms()[a].relation) {
             return Status::InvalidArgument(
-                who + " has a witness whose atom " + std::to_string(a) +
+                who() + " has a witness whose atom " + std::to_string(a) +
                 " references relation '" + schema.relation(ref.relation).name +
                 "' where the query body has '" +
                 schema.relation(query.atoms()[a].relation).name + "'");
           }
           if (ref.row >= database_->relation(ref.relation).row_count()) {
             return Status::InvalidArgument(
-                who + " has a dangling witness: row " +
+                who() + " has a dangling witness: row " +
                 std::to_string(ref.row) + " of relation '" +
                 schema.relation(ref.relation).name + "' does not exist (" +
                 std::to_string(database_->relation(ref.relation).row_count()) +
                 " row(s))");
-          }
-          if (seen.insert(ref).second) {
-            structure.kill_map[ref].push_back(id);
           }
         }
       }
@@ -274,7 +250,8 @@ internal::ViewStructure& VseInstance::MutableStructure() {
 
 Status VseInstance::ValidateDelta(const Database& database,
                                   const BaseDelta& delta,
-                                  const ApplyDeltaOptions& options) const {
+                                  const ApplyDeltaOptions& options,
+                                  const PlanCore& core) const {
   const Schema& schema = database.schema();
   // Inserts: arity and key uniqueness, against both the stored rows and the
   // earlier inserts of this same delta.
@@ -345,9 +322,10 @@ Status VseInstance::ValidateDelta(const Database& database,
                                      "' is already deleted");
     }
     if (options.forbid_witnessed_deletes) {
-      auto it = structure_->kill_map.find(ref);
-      if (it != structure_->kill_map.end() && !it->second.empty()) {
-        const ViewTupleId& vt = it->second.front();
+      std::vector<ViewTupleId> killed;
+      AppendKillRow(core, ref, &killed);
+      if (!killed.empty()) {
+        const ViewTupleId& vt = killed.front();
         return Status::InvalidArgument(
             who + ": row " + std::to_string(ref.row) + " of relation '" +
             name + "' still occurs in a witness of view " +
@@ -366,19 +344,17 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
     return Status::InvalidArgument(
         "ApplyDelta must be given the instance's own database");
   }
-  if (Status s = ValidateDelta(database, delta, options); !s.ok()) return s;
+  // The pre-delta core, built first if none is cached: its kill rows answer
+  // every "which view tuples use this row" lookup below, and the patch is
+  // phrased in its (old) dense ids.
+  std::shared_ptr<const PlanCore> old_core = CurrentCore();
+  if (Status s = ValidateDelta(database, delta, options, *old_core); !s.ok()) {
+    return s;
+  }
   ApplyDeltaReport out;
   if (delta.empty()) {
     if (report != nullptr) *report = out;
     return Status::Ok();
-  }
-
-  // Snapshot the current core before mutating: the patch below is phrased in
-  // its (old) dense ids.
-  std::shared_ptr<const PlanCore> old_core;
-  {
-    std::lock_guard<std::mutex> lock(caches_->mu);
-    old_core = caches_->plan_core;
   }
 
   internal::ViewStructure& structure = MutableStructure();
@@ -389,10 +365,7 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
   for (const TupleRef& ref : delta.deletes) {
     if (!deleted.Insert(ref)) continue;  // duplicates collapse
     structure.base_mask.Insert(ref);
-    auto it = structure.kill_map.find(ref);
-    if (it != structure.kill_map.end()) {
-      affected.insert(affected.end(), it->second.begin(), it->second.end());
-    }
+    AppendKillRow(*old_core, ref, &affected);
   }
   std::sort(affected.begin(), affected.end());
   affected.erase(std::unique(affected.begin(), affected.end()),
@@ -407,37 +380,24 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
   };
   std::vector<WitnessRemoval> removals;
   TupleRemap remap(structure.views.size());
-  std::vector<TupleRef> removed_refs;
   for (const ViewTupleId& id : affected) {
     std::vector<Witness>& witnesses =
         structure.views[id.view].MutableWitnesses(id.tuple);
     WitnessRemoval removal;
     removal.id = id;
-    removed_refs.clear();
     for (size_t w = 0; w < witnesses.size(); ++w) {
-      if (!WitnessHits(witnesses[w], deleted)) continue;
-      removal.ordinals.push_back(w);
-      removed_refs.insert(removed_refs.end(), witnesses[w].begin(),
-                          witnesses[w].end());
+      if (WitnessHits(witnesses[w], deleted)) removal.ordinals.push_back(w);
     }
-    std::sort(removed_refs.begin(), removed_refs.end());
-    removed_refs.erase(
-        std::unique(removed_refs.begin(), removed_refs.end()),
-        removed_refs.end());
     out.witnesses_removed += removal.ordinals.size();
     size_t before = witnesses.size();
     if (removal.ordinals.size() == before) {
-      // Every witness hit: the view tuple is gone. Its kill-map rows are
-      // erased wholesale; the tuple itself is compacted away below.
+      // Every witness hit: the view tuple is gone; it is compacted away
+      // below.
       removal.tuple_died = true;
       remap.MarkDead(id);
       ++out.view_tuples_removed;
-      for (const TupleRef& ref : removed_refs) {
-        EraseKillEntry(structure.kill_map, ref, id);
-      }
     } else {
-      // Compact the surviving witnesses in order, then drop kill-map rows
-      // for refs that no longer occur in any of them.
+      // Compact the surviving witnesses in order.
       size_t write = 0;
       size_t next = 0;
       for (size_t w = 0; w < witnesses.size(); ++w) {
@@ -449,19 +409,6 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
         ++write;
       }
       witnesses.resize(write);
-      for (const TupleRef& ref : removed_refs) {
-        bool still_used = false;
-        for (const Witness& witness : witnesses) {
-          for (const TupleRef& member : witness) {
-            if (member == ref) {
-              still_used = true;
-              break;
-            }
-          }
-          if (still_used) break;
-        }
-        if (!still_used) EraseKillEntry(structure.kill_map, ref, id);
-      }
       if (before > 1 && witnesses.size() <= 1) {
         --structure.multi_witness_tuples;
       }
@@ -499,12 +446,6 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
       new_weights.emplace(remap.Shift(it->first), it->second);
     }
     weights_ = std::move(new_weights);
-    // Kill rows: every stored id shifts in place; the per-row ascending
-    // order survives because shifting is monotone.
-    for (auto it = structure.kill_map.begin(); it != structure.kill_map.end();
-         ++it) {
-      for (ViewTupleId& id : it->second) id = remap.Shift(id);
-    }
   }
 
   // ---- Inserts: append rows, join only the delta's neighborhood. ---------
@@ -525,7 +466,6 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
       }
     }
     std::vector<std::pair<Tuple, Witness>> matches;
-    std::vector<TupleRef> unique_refs;
     for (size_t v = 0; v < structure.views.size(); ++v) {
       matches.clear();
       if (Status s = internal::CollectDeltaMatches(
@@ -547,16 +487,6 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
         if (witnesses_before == 1 && witnesses_after == 2) {
           ++structure.multi_witness_tuples;
         }
-        ViewTupleId id{v, index};
-        const Witness& added = view.tuple(index).witnesses.back();
-        unique_refs.assign(added.begin(), added.end());
-        std::sort(unique_refs.begin(), unique_refs.end());
-        unique_refs.erase(
-            std::unique(unique_refs.begin(), unique_refs.end()),
-            unique_refs.end());
-        for (const TupleRef& ref : unique_refs) {
-          InsertKillEntry(structure.kill_map, ref, id);
-        }
       }
     }
   }
@@ -564,50 +494,43 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
   ++structure.epoch;
 
   // ---- Plan maintenance: patch the core, or drop it past the threshold. --
-  {
-    std::lock_guard<std::mutex> lock(caches_->mu);
-    caches_->preserved.reset();
-    if (caches_->compiled != nullptr) {
-      caches_->retired = std::move(caches_->compiled);
-      caches_->compiled.reset();
-    }
-    if (old_core != nullptr) {
-      size_t changed = out.witnesses_removed + out.witnesses_added;
-      double budget =
-          options.patch_threshold * static_cast<double>(
-                                        old_core->witness_count());
-      if (static_cast<double>(changed) <= budget && changed > 0) {
-        CoreDelta core_delta;
-        core_delta.tuple_removed.assign(old_core->tuple_count(), 0);
-        core_delta.witness_removed.assign(old_core->witness_count(), 0);
-        for (const WitnessRemoval& removal : removals) {
-          uint32_t dense =
-              old_core->view_first[removal.id.view] +
-              static_cast<uint32_t>(removal.id.tuple);
-          uint32_t witness_base = old_core->tuple_witness_first[dense];
-          for (size_t ordinal : removal.ordinals) {
-            core_delta.witness_removed[witness_base + ordinal] = 1;
-          }
-          core_delta.removed_witness_count += removal.ordinals.size();
-          if (removal.tuple_died) {
-            core_delta.tuple_removed[dense] = 1;
-            ++core_delta.removed_tuple_count;
-          }
-        }
-        caches_->plan_core =
-            CompiledInstance::PatchCore(*old_core, *this, core_delta);
-        ++caches_->plan_stats.core_patches;
-        out.core_patched = true;
-      } else if (changed > 0) {
-        caches_->plan_core.reset();
-        caches_->retired.reset();
-        ++caches_->plan_stats.core_patch_fallbacks;
-        out.core_rebuilt = true;
-      }
-      // changed == 0 (pure base deletes outside every witness): the core is
-      // untouched by construction, keep it as-is.
-    }
+  std::lock_guard<std::mutex> lock(caches_->mu);
+  if (caches_->compiled != nullptr) {
+    caches_->retired = std::move(caches_->compiled);
+    caches_->compiled.reset();
   }
+  size_t changed = out.witnesses_removed + out.witnesses_added;
+  double budget =
+      options.patch_threshold * static_cast<double>(old_core->witness_count());
+  if (static_cast<double>(changed) <= budget && changed > 0) {
+    CoreDelta core_delta;
+    core_delta.tuple_removed.assign(old_core->tuple_count(), 0);
+    core_delta.witness_removed.assign(old_core->witness_count(), 0);
+    for (const WitnessRemoval& removal : removals) {
+      uint32_t dense = old_core->view_first[removal.id.view] +
+                       static_cast<uint32_t>(removal.id.tuple);
+      uint32_t witness_base = old_core->tuple_witness_first[dense];
+      for (size_t ordinal : removal.ordinals) {
+        core_delta.witness_removed[witness_base + ordinal] = 1;
+      }
+      core_delta.removed_witness_count += removal.ordinals.size();
+      if (removal.tuple_died) {
+        core_delta.tuple_removed[dense] = 1;
+        ++core_delta.removed_tuple_count;
+      }
+    }
+    caches_->plan_core =
+        CompiledInstance::PatchCore(*old_core, *this, core_delta);
+    ++caches_->plan_stats.core_patches;
+    out.core_patched = true;
+  } else if (changed > 0) {
+    caches_->plan_core.reset();
+    caches_->retired.reset();
+    ++caches_->plan_stats.core_patch_fallbacks;
+    out.core_rebuilt = true;
+  }
+  // changed == 0 (pure base deletes outside every witness): the core is
+  // untouched by construction, keep it as-is.
 
   if (report != nullptr) *report = out;
   return Status::Ok();
@@ -679,8 +602,7 @@ Status VseInstance::SetWeight(const ViewTupleId& id, double weight) {
   weights_[id] = weight;
   // Weights live in the plan core; patch it instead of discarding it — a
   // reweight on a served instance must not throw away the structure every
-  // replica shares. The ΔV overlay and the preserved list are untouched by
-  // weight changes.
+  // replica shares. The ΔV overlay is untouched by weight changes.
   std::lock_guard<std::mutex> lock(caches_->mu);
   if (caches_->plan_core == nullptr) return Status::Ok();
   uint32_t dense =
@@ -728,7 +650,6 @@ void VseInstance::InvalidateOverlayCaches() {
     caches_->retired = std::move(caches_->compiled);
   }
   caches_->compiled.reset();
-  caches_->preserved.reset();
 }
 
 PlanBuildStats VseInstance::plan_stats() const {
@@ -771,28 +692,6 @@ double VseInstance::weight(const ViewTupleId& id) const {
   return it == weights_.end() ? 1.0 : it->second;
 }
 
-const std::vector<ViewTupleId>& VseInstance::PreservedTuples() const {
-  std::lock_guard<std::mutex> lock(caches_->mu);
-  if (caches_->preserved == nullptr) {
-    auto out = std::make_shared<std::vector<ViewTupleId>>();
-    out->reserve(TotalViewTuples() - deletion_tuples_.size());
-    // Merge scan: both the (view, tuple) sweep and ΔV are ascending.
-    auto next_deleted = deletion_tuples_.begin();
-    for (size_t v = 0; v < view_count(); ++v) {
-      for (size_t t = 0; t < view(v).size(); ++t) {
-        ViewTupleId id{v, t};
-        if (next_deleted != deletion_tuples_.end() && *next_deleted == id) {
-          ++next_deleted;
-          continue;
-        }
-        out->push_back(id);
-      }
-    }
-    caches_->preserved = std::move(out);
-  }
-  return *caches_->preserved;
-}
-
 size_t VseInstance::TotalViewTuples() const {
   size_t n = 0;
   for (const View& view : structure_->views) n += view.size();
@@ -811,11 +710,18 @@ std::vector<TupleRef> VseInstance::CandidateTuples() const {
   return out;
 }
 
-const std::vector<ViewTupleId>& VseInstance::KilledBy(
-    const TupleRef& ref) const {
-  static const std::vector<ViewTupleId> kEmpty;
-  auto it = structure_->kill_map.find(ref);
-  return it == structure_->kill_map.end() ? kEmpty : it->second;
+std::shared_ptr<const PlanCore> VseInstance::CurrentCore() const {
+  {
+    std::lock_guard<std::mutex> lock(caches_->mu);
+    if (caches_->plan_core != nullptr) return caches_->plan_core;
+  }
+  return compiled()->core();
+}
+
+std::vector<ViewTupleId> VseInstance::KilledBy(const TupleRef& ref) const {
+  std::vector<ViewTupleId> killed;
+  AppendKillRow(*CurrentCore(), ref, &killed);
+  return killed;
 }
 
 }  // namespace delprop

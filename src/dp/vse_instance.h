@@ -59,17 +59,15 @@ struct PlanBuildStats {
 namespace internal {
 
 /// The base-data-derived half of a VseInstance: materialized views with
-/// lineage, the witness kill map, the multi-witness tally behind
-/// all_unique_witness(), and the instance's logical base-row mask. Shared
-/// (via shared_ptr, copy-on-write) between an instance and its replicas —
-/// replicas only ever diverge in ΔV and weights, so sharing makes
-/// Replicate O(1) in the view size and lets ApplyDelta refresh a whole
-/// worker fleet by mutating one structure. `epoch` counts ApplyDelta
-/// generations, letting serving layers assert replicas follow the primary.
+/// lineage, the multi-witness tally behind all_unique_witness(), and the
+/// instance's logical base-row mask. Shared (via shared_ptr, copy-on-write)
+/// between an instance and its replicas — replicas only ever diverge in ΔV
+/// and weights, so sharing makes Replicate O(1) in the view size and lets
+/// ApplyDelta refresh a whole worker fleet by mutating one structure.
+/// `epoch` counts ApplyDelta generations, letting serving layers assert
+/// replicas follow the primary.
 struct ViewStructure {
   std::vector<View> views;
-  std::unordered_map<TupleRef, std::vector<ViewTupleId>, TupleRefHash>
-      kill_map;
   /// Number of view tuples with more than one witness; 0 ⇔
   /// all_unique_witness(). Maintained incrementally by ApplyDelta.
   size_t multi_witness_tuples = 0;
@@ -94,7 +92,6 @@ struct VseInstanceCaches {
   std::shared_ptr<const CompiledInstance> compiled;
   std::shared_ptr<const PlanCore> plan_core;
   std::shared_ptr<const CompiledInstance> retired;
-  std::shared_ptr<const std::vector<ViewTupleId>> preserved;
   PlanBuildStats plan_stats;
 };
 
@@ -107,8 +104,7 @@ struct VseInstanceCaches {
 /// The instance is built once (views are materialized with lineage at
 /// creation) and then deletions are marked on it; solvers treat it as
 /// read-only. Live base data is supported through ApplyDelta, which
-/// delta-updates the views, kill map, and compiled plan instead of
-/// rebuilding them.
+/// delta-updates the views and compiled plan instead of rebuilding them.
 class VseInstance {
  public:
   /// Materializes Qi(D) for every query. The database and the queries must
@@ -153,18 +149,23 @@ class VseInstance {
   /// `delta.inserts` are appended to `database` (which must be the
   /// instance's own database — it is taken non-const here precisely because
   /// creation only borrowed it read-only), rows in `delta.deletes` join the
-  /// instance's base mask, and the materialized views, kill map,
-  /// all_unique_witness tally, ΔV marks, weights, and compiled plan are all
-  /// delta-updated in place. Equivalent to re-creating the instance over the
-  /// mutated database (byte-identically — property-tested by the
-  /// mutate-vs-rebuild oracle in testing/mutation.h), at a cost proportional
-  /// to the delta's join neighborhood, not to ‖D‖ or ‖V‖.
+  /// instance's base mask, and the materialized views, all_unique_witness
+  /// tally, ΔV marks, weights, and compiled plan are all delta-updated in
+  /// place. Equivalent to re-creating the instance over the mutated database
+  /// (byte-identically — property-tested by the mutate-vs-rebuild oracle in
+  /// testing/mutation.h), at a cost proportional to the delta's join
+  /// neighborhood, not to ‖D‖ or ‖V‖.
   ///
   /// The whole delta is validated first and rejected without side effects:
   /// inserts must match arity and respect keys (masked rows keep their keys
   /// occupied — re-inserting a logically deleted row's key is an error),
   /// deletes must name existing, not-yet-deleted rows of the pre-delta
   /// database. Errors are InvalidArgument naming the offending relation/row.
+  ///
+  /// The view tuples a delete touches are read from the pre-delta plan
+  /// core's kill rows; an instance without a cached core (never compiled,
+  /// or dropped by the patch-threshold fallback) first pays the lazy full
+  /// build of compiled(), counted in plan_stats().full_builds.
   ///
   /// ΔV marks on view tuples that lose their last witness are dropped (the
   /// deletion became a fact of the base data); marks on surviving tuples are
@@ -212,7 +213,7 @@ class VseInstance {
 
   /// Number of ApplyDelta generations this instance's structure has gone
   /// through. Replicas share the primary's structure, so equal epochs mean
-  /// byte-identical views/kill map/mask.
+  /// byte-identical views and mask.
   uint64_t structure_epoch() const { return structure_->epoch; }
 
   /// Pointers to all views (for DataForest::Build and diagnostics).
@@ -225,10 +226,6 @@ class VseInstance {
   const std::vector<ViewTupleId>& deletion_tuples() const {
     return deletion_tuples_;
   }
-  /// V \ ΔV as a flat list, in (view, tuple) order. Computed once after the
-  /// last MarkForDeletion and cached; new marks invalidate the cache. The
-  /// returned reference stays valid until the next mutation.
-  const std::vector<ViewTupleId>& PreservedTuples() const;
 
   /// The dense compiled plan of this instance (see plan/compiled_instance.h):
   /// integer-interned ids plus CSR incidence arrays for every solver hot
@@ -274,8 +271,9 @@ class VseInstance {
   std::vector<TupleRef> CandidateTuples() const;
 
   /// View tuples having `ref` in at least one witness (the "kill set" of the
-  /// base tuple). Empty list if the tuple occurs in no witness.
-  const std::vector<ViewTupleId>& KilledBy(const TupleRef& ref) const;
+  /// base tuple), ascending: the ref's kill row in the compiled plan core,
+  /// which is built on first use. Empty if the tuple occurs in no witness.
+  std::vector<ViewTupleId> KilledBy(const TupleRef& ref) const;
 
   const ViewTuple& view_tuple(const ViewTupleId& id) const {
     return structure_->views[id.view].tuple(id.tuple);
@@ -287,9 +285,8 @@ class VseInstance {
   }
 
   // Move-only: copying would either share or silently drop the derived
-  // caches (compiled plan, preserved list); replication is an explicit
-  // operation (Replicate) with defined cache-sharing semantics, so forbid
-  // implicit copies outright.
+  // caches (compiled plan); replication is an explicit operation (Replicate)
+  // with defined cache-sharing semantics, so forbid implicit copies outright.
   VseInstance(const VseInstance&) = delete;
   VseInstance& operator=(const VseInstance&) = delete;
   VseInstance(VseInstance&&) = default;
@@ -299,21 +296,28 @@ class VseInstance {
   VseInstance() = default;
 
   /// Validates witness structure (every tuple has ≥ 1 witness, no witness is
-  /// empty) and builds the kill map plus the multi-witness tally. Shared
-  /// tail of all three factories.
-  Status IndexWitnesses();
+  /// empty or dangling) and counts the multi-witness tally. Shared tail of
+  /// all three factories.
+  Status ValidateWitnesses();
+
+  /// The cached plan core, or — when none is cached — the core of a lazy
+  /// full build through compiled(). Its kill rows are the instance's only
+  /// base → view-tuple index.
+  std::shared_ptr<const PlanCore> CurrentCore() const;
 
   /// Copy-on-write access to the view structure: detaches a private copy
   /// when replicas still share it, so their snapshot stays frozen.
   internal::ViewStructure& MutableStructure();
 
-  /// Validates a whole delta against the pre-delta state (no side effects).
+  /// Validates a whole delta against the pre-delta state (no side effects);
+  /// `core` is the pre-delta CurrentCore().
   Status ValidateDelta(const Database& database, const BaseDelta& delta,
-                       const ApplyDeltaOptions& options) const;
+                       const ApplyDeltaOptions& options,
+                       const PlanCore& core) const;
 
-  /// Drops the lazily-built ΔV overlay (compiled plan, preserved list),
-  /// keeping the ΔV-independent plan core; the dropped plan is retired for
-  /// overlay recycling.
+  /// Drops the lazily-built ΔV overlay (the compiled plan), keeping the
+  /// ΔV-independent plan core; the dropped plan is retired for overlay
+  /// recycling.
   void InvalidateOverlayCaches();
 
   const Database* database_ = nullptr;

@@ -110,9 +110,8 @@ void FinishCore(PlanCore* core) {
   }
   core->bits_supported = core->max_witnesses_per_tuple <= 64;
 
-  // Kill rows: unique view tuples per base, in row order (ascending) —
-  // byte-compatible with the legacy kill_map_ (first-witness dedup, (view,
-  // tuple) iteration order).
+  // Kill rows: unique view tuples per base, in row order (ascending (view,
+  // tuple)) — the per-base run-dedup of the occurrence rows.
   core->base_kill_first.assign(static_cast<size_t>(base_count) + 1, 0);
   for (uint32_t b = 0; b < base_count; ++b) {
     uint32_t kills = 0;

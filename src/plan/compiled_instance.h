@@ -64,6 +64,11 @@ struct PlanCore {
   uint32_t base_count() const {
     return static_cast<uint32_t>(base_refs.size());
   }
+
+  /// Field-for-field equality over every array and statistic: the
+  /// mutate-vs-rebuild oracle demands a patched core equal a from-scratch
+  /// build of the same views.
+  bool operator==(const PlanCore&) const = default;
 };
 
 /// A view-level delta phrased in an existing core's dense ids: which old
@@ -238,8 +243,9 @@ class CompiledInstance {
   }
 
   // --- kills (CSR: base -> killed view tuples, ascending) ----------------
-  /// Mirrors `VseInstance::KilledBy` (unique view tuples having the base in
-  /// some witness, ascending (view, tuple)).
+  /// Unique view tuples having the base in some witness, ascending (view,
+  /// tuple) — the instance's only base → view-tuple index, which
+  /// `VseInstance::KilledBy` and `ApplyDelta` read.
   uint32_t kill_begin(uint32_t base) const {
     return core_->base_kill_first[base];
   }

@@ -100,11 +100,6 @@ BaseDelta MakeRandomDelta(Database& db, const DeletionSet& mask, Rng& rng,
   return delta;
 }
 
-std::string RenderRef(const Database& db, const TupleRef& ref) {
-  return db.schema().relation(ref.relation).name + "#" +
-         std::to_string(ref.row);
-}
-
 /// Sorted copy of a tuple's witness list, for set-level comparison (the live
 /// instance appends incrementally; a from-scratch Create enumerates in
 /// evaluator order).
@@ -147,23 +142,11 @@ void CheckContent(const VseInstance& live, const VseInstance& rebuilt,
   }
 }
 
-bool SameCore(const PlanCore& a, const PlanCore& b) {
-  return a.view_first == b.view_first && a.tuple_view == b.tuple_view &&
-         a.weight == b.weight &&
-         a.tuple_witness_first == b.tuple_witness_first &&
-         a.witness_owner == b.witness_owner &&
-         a.witness_member_first == b.witness_member_first &&
-         a.witness_member_base == b.witness_member_base &&
-         a.base_refs == b.base_refs && a.base_occ_first == b.base_occ_first &&
-         a.occ_tuple == b.occ_tuple && a.occ_witness == b.occ_witness &&
-         a.base_kill_first == b.base_kill_first &&
-         a.kill_tuple == b.kill_tuple;
-}
-
-/// Derived state of `live` (kill map, unique-witness flag, compiled core and
-/// overlay, solver outcomes) must be byte-identical to `shadow`, a fresh
+/// Derived state of `live` (unique-witness flag, compiled core and overlay,
+/// solver outcomes) must be byte-identical to `shadow`, a fresh
 /// CreateFromMaterializedViews over a copy of the live views carrying the
-/// same ΔV and weights.
+/// same ΔV and weights. The core comparison covers every PlanCore field,
+/// the kill rows behind KilledBy and ApplyDelta included.
 void CheckDerivedState(const VseInstance& live, const VseInstance& shadow,
                        const std::vector<std::string>& solvers,
                        size_t case_index, uint64_t seed, size_t step,
@@ -176,29 +159,9 @@ void CheckDerivedState(const VseInstance& live, const VseInstance& shadow,
              ", reindexed rebuild reports the opposite"});
   }
 
-  std::vector<TupleRef> refs;
-  for (size_t v = 0; v < live.view_count(); ++v) {
-    const View& view = live.view(v);
-    for (size_t t = 0; t < view.size(); ++t) {
-      for (const Witness& witness : view.tuple(t).witnesses) {
-        refs.insert(refs.end(), witness.begin(), witness.end());
-      }
-    }
-  }
-  std::sort(refs.begin(), refs.end());
-  refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
-  for (const TupleRef& ref : refs) {
-    if (live.KilledBy(ref) != shadow.KilledBy(ref)) {
-      violations->push_back({case_index, seed, step, "kill-map",
-                             "KilledBy(" + RenderRef(live.database(), ref) +
-                                 ") differs from the reindexed rebuild"});
-      break;
-    }
-  }
-
   std::shared_ptr<const CompiledInstance> live_plan = live.compiled();
   std::shared_ptr<const CompiledInstance> shadow_plan = shadow.compiled();
-  if (!SameCore(*live_plan->core(), *shadow_plan->core())) {
+  if (*live_plan->core() != *shadow_plan->core()) {
     violations->push_back({case_index, seed, step, "core",
                            "patched PlanCore is not byte-identical to a "
                            "from-scratch build over the mutated views"});
@@ -322,7 +285,7 @@ void RunOneCase(const MutationFuzzOptions& options, size_t index,
                  &outcome->violations);
 
     // Arm 2: derived state — re-indexing a copy of the live views must yield
-    // byte-identical kill map, core, overlay, and solver outcomes.
+    // a byte-identical core, overlay, and solver outcomes.
     std::vector<View> views_copy;
     views_copy.reserve(live.view_count());
     for (size_t v = 0; v < live.view_count(); ++v) {

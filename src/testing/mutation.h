@@ -31,7 +31,7 @@ struct MutationFuzzOptions {
 /// One oracle violation found by the mutation fuzz loop. `check` is a stable
 /// machine-readable name: "apply" (ApplyDelta returned an error), "content"
 /// (views differ from a from-scratch Create as sets), "unique-witness",
-/// "kill-map", "core" (compiled PlanCore/overlay not byte-identical), or
+/// "core" (compiled PlanCore/overlay not byte-identical), or
 /// "solver:<name>".
 struct MutationViolation {
   size_t case_index = 0;
@@ -71,9 +71,9 @@ struct MutationFuzzSummary {
 ///  * a from-scratch `VseInstance::Create` under the live base mask — the
 ///    views must agree as sets (head values and witness sets);
 ///  * a `CreateFromMaterializedViews` over a copy of the live views — its
-///    derived state (kill map, all_unique_witness, the compiled PlanCore's
-///    every array, the ΔV overlay) and the outcomes of `options.solvers`
-///    must be BYTE-identical to the live instance's.
+///    derived state (all_unique_witness, every field of the compiled
+///    PlanCore — kill rows included — and the ΔV overlay) and the outcomes
+///    of `options.solvers` must be BYTE-identical to the live instance's.
 ///
 /// Cases run concurrently on `pool` when it has more than one worker; each
 /// case is fully determined by its derived seed and writes only its own

@@ -190,13 +190,22 @@ void CheckPlanRoundTrip(const VseInstance& instance,
       return;
     }
   }
-  // Kill rows reproduce KilledBy, per base, in order.
+  // Kill rows reproduce the reference kill index, per base, in order; its
+  // keys are exactly the interned bases (checked ascending above).
+  KillIndex reference = ReferenceKillIndex(instance);
+  if (reference.size() != plan->base_count()) {
+    fail("base_count " + std::to_string(plan->base_count()) +
+         " != reference kill index size " + std::to_string(reference.size()));
+    return;
+  }
   for (uint32_t b = 0; b < plan->base_count(); ++b) {
-    const auto& killed = instance.KilledBy(plan->base_ref(b));
-    if (plan->kill_end(b) - plan->kill_begin(b) != killed.size()) {
+    auto row = reference.find(plan->base_ref(b));
+    if (row == reference.end() ||
+        plan->kill_end(b) - plan->kill_begin(b) != row->second.size()) {
       fail("kill row size mismatch for base " + std::to_string(b));
       return;
     }
+    const std::vector<ViewTupleId>& killed = row->second;
     for (size_t k = 0; k < killed.size(); ++k) {
       uint32_t dense =
           plan->kill_tuple(plan->kill_begin(b) + static_cast<uint32_t>(k));
@@ -205,6 +214,10 @@ void CheckPlanRoundTrip(const VseInstance& instance,
              " mismatch for base " + std::to_string(b));
         return;
       }
+    }
+    if (instance.KilledBy(plan->base_ref(b)) != killed) {
+      fail("KilledBy mismatch for base " + std::to_string(b));
+      return;
     }
   }
   // Candidates mirror CandidateTuples (both ascending).
@@ -238,14 +251,17 @@ bool TupleKilled(const VseInstance& instance, const ViewTupleId& id,
   return true;
 }
 
-/// Marginal damage recomputed from the instance API alone: weight of
-/// preserved tuples whose every unhit witness contains `ref`. Sums in
-/// KilledBy order — the same order the compiled tracker sums in — so the
-/// doubles are bit-identical, which the tie-breaking comparison needs.
-double NaiveMarginalDamage(const VseInstance& instance, const TupleRef& ref,
-                           const DeletionSet& deletion) {
+/// Marginal damage recomputed from the instance's views alone: weight of
+/// preserved tuples whose every unhit witness contains `ref`. Sums in kill
+/// row order (`kills` is the reference index) — the same order the compiled
+/// tracker sums in — so the doubles are bit-identical, which the
+/// tie-breaking comparison needs.
+double NaiveMarginalDamage(const VseInstance& instance, const KillIndex& kills,
+                           const TupleRef& ref, const DeletionSet& deletion) {
+  auto row = kills.find(ref);
+  if (row == kills.end()) return 0.0;
   double damage = 0.0;
-  for (const ViewTupleId& id : instance.KilledBy(ref)) {
+  for (const ViewTupleId& id : row->second) {
     if (instance.IsMarkedForDeletion(id)) continue;
     bool any_unhit = false;
     bool all_covered = true;
@@ -273,6 +289,7 @@ double NaiveMarginalDamage(const VseInstance& instance, const TupleRef& ref,
 /// The greedy algorithm restated with no compiled plan, no tracker, and no
 /// dense ids — pure DeletionSet + lineage recomputation.
 std::optional<DeletionSet> ReferenceGreedy(const VseInstance& instance) {
+  const KillIndex kills = ReferenceKillIndex(instance);
   DeletionSet deletion;
   const std::vector<ViewTupleId>& targets = instance.deletion_tuples();
   auto first_unkilled = [&]() -> const ViewTupleId* {
@@ -295,7 +312,7 @@ std::optional<DeletionSet> ReferenceGreedy(const VseInstance& instance) {
     double best_damage = std::numeric_limits<double>::infinity();
     for (const TupleRef& member : *open) {
       if (deletion.Contains(member)) continue;
-      double damage = NaiveMarginalDamage(instance, member, deletion);
+      double damage = NaiveMarginalDamage(instance, kills, member, deletion);
       if (damage < best_damage) {
         best_damage = damage;
         best = member;

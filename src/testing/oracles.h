@@ -57,7 +57,7 @@ std::vector<std::string> OracleNames();
 ///    SerializeToScript is byte-identical and structure-preserving;
 ///  * plan-roundtrip — the compiled dense plan (interned bases, witness and
 ///    kill CSR rows, deletion lists, candidates) re-encodes the instance API
-///    exactly;
+///    exactly; kill rows and KilledBy match ReferenceKillIndex;
 ///  * plan-greedy — GreedySolver on the compiled plan returns a deletion set
 ///    byte-identical to the same algorithm replayed with DeletionSet +
 ///    lineage recomputation and no dense ids;

@@ -90,5 +90,23 @@ size_t NaiveEvaluationCost(const Database& db, const ConjunctiveQuery& query) {
   return cost;
 }
 
+KillIndex ReferenceKillIndex(const VseInstance& instance) {
+  KillIndex index;
+  for (size_t v = 0; v < instance.view_count(); ++v) {
+    const View& view = instance.view(v);
+    for (size_t t = 0; t < view.size(); ++t) {
+      ViewTupleId id{v, t};
+      for (const Witness& witness : view.tuple(t).witnesses) {
+        for (const TupleRef& ref : witness) {
+          // Ids arrive ascending, so a repeat can only be the last entry.
+          std::vector<ViewTupleId>& row = index[ref];
+          if (row.empty() || !(row.back() == id)) row.push_back(id);
+        }
+      }
+    }
+  }
+  return index;
+}
+
 }  // namespace testing
 }  // namespace delprop

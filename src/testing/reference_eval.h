@@ -3,7 +3,9 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
+#include "dp/vse_instance.h"
 #include "query/evaluator.h"
 #include "query/view.h"
 #include "relational/database.h"
@@ -36,6 +38,15 @@ ResultMap ViewToResultMap(const View& view);
 /// crosscheck when this exceeds their budget.
 size_t NaiveEvaluationCost(const Database& database,
                            const ConjunctiveQuery& query);
+
+/// Base tuple -> the view tuples having it in some witness, ascending and
+/// deduplicated: the contract of the compiled plan's kill rows and of
+/// VseInstance::KilledBy, which read those rows.
+using KillIndex = std::map<TupleRef, std::vector<ViewTupleId>>;
+
+/// Reference kill index built from the views alone — one naive witness scan
+/// in (view, tuple) order, independent of the CSR arrays it checks.
+KillIndex ReferenceKillIndex(const VseInstance& instance);
 
 }  // namespace testing
 }  // namespace delprop

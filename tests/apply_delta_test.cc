@@ -63,21 +63,8 @@ class ApplyDeltaTest : public ::testing::Test {
       }
     }
     EXPECT_EQ(instance().all_unique_witness(), shadow.all_unique_witness());
-    const PlanCore& a = *instance().compiled()->core();
-    const PlanCore& b = *shadow.compiled()->core();
-    EXPECT_EQ(a.view_first, b.view_first);
-    EXPECT_EQ(a.tuple_view, b.tuple_view);
-    EXPECT_EQ(a.weight, b.weight);
-    EXPECT_EQ(a.tuple_witness_first, b.tuple_witness_first);
-    EXPECT_EQ(a.witness_owner, b.witness_owner);
-    EXPECT_EQ(a.witness_member_first, b.witness_member_first);
-    EXPECT_EQ(a.witness_member_base, b.witness_member_base);
-    EXPECT_EQ(a.base_refs, b.base_refs);
-    EXPECT_EQ(a.base_occ_first, b.base_occ_first);
-    EXPECT_EQ(a.occ_tuple, b.occ_tuple);
-    EXPECT_EQ(a.occ_witness, b.occ_witness);
-    EXPECT_EQ(a.base_kill_first, b.base_kill_first);
-    EXPECT_EQ(a.kill_tuple, b.kill_tuple);
+    EXPECT_TRUE(*instance().compiled()->core() == *shadow.compiled()->core())
+        << "PlanCore differs from a from-scratch build of the same views";
     EXPECT_EQ(instance().compiled()->deletion_dense(),
               shadow.compiled()->deletion_dense());
     EXPECT_EQ(instance().compiled()->candidate_bases(),
@@ -102,8 +89,8 @@ TEST_F(ApplyDeltaTest, InsertExpandsViewsIncrementally) {
   EXPECT_EQ(report.view_tuples_removed, 0u);
   EXPECT_EQ(instance().structure_epoch(), 1u);
 
-  // The new base row is live, present in the kill map, and the new view
-  // tuples carry real witnesses through it.
+  // The new base row is live, has a kill row, and the new view tuples carry
+  // real witnesses through it.
   TupleRef bob = Row("T1", 4);
   EXPECT_FALSE(instance().base_mask().Contains(bob));
   EXPECT_EQ(instance().KilledBy(bob).size(), 4u);
@@ -261,6 +248,24 @@ TEST_F(ApplyDeltaTest, SmallDeltaPatchesCoreLargeDeltaRebuilds) {
   (void)instance().compiled();
   EXPECT_EQ(instance().plan_stats().full_builds, 2u);
   ExpectMatchesReindex();
+
+  // Fallback again, then a small delta before any compiled(): with no core
+  // cached, ApplyDelta first pays the counted lazy full build, then patches
+  // that core.
+  BaseDelta dropped;
+  dropped.deletes.push_back(Row("T1", 2));
+  ASSERT_TRUE(
+      instance().ApplyDelta(db(), dropped, rebuild_always, &report).ok());
+  EXPECT_TRUE(report.core_rebuilt);
+  BaseDelta on_demand;
+  on_demand.deletes.push_back(Row("T2", 1));
+  ASSERT_TRUE(instance().ApplyDelta(db(), on_demand, {}, &report).ok());
+  EXPECT_TRUE(report.core_patched);
+  stats = instance().plan_stats();
+  EXPECT_EQ(stats.full_builds, 3u);
+  EXPECT_EQ(stats.core_patches, 2u);
+  ExpectMatchesReindex();
+  EXPECT_EQ(instance().plan_stats().full_builds, 3u);
 }
 
 // Satellite regression: SetWeight used to discard the shared PlanCore
@@ -324,13 +329,18 @@ TEST_F(ApplyDeltaTest, DeletionMembershipStaysConsistent) {
   EXPECT_TRUE(std::is_sorted(instance().deletion_tuples().begin(),
                              instance().deletion_tuples().end()));
 
-  // Every marked id appears in PreservedTuples' complement exactly.
-  const std::vector<ViewTupleId>& preserved = instance().PreservedTuples();
-  EXPECT_EQ(preserved.size() + instance().TotalDeletionTuples(),
-            instance().TotalViewTuples());
-  for (const ViewTupleId& id : preserved) {
-    EXPECT_FALSE(instance().IsMarkedForDeletion(id));
+  // Membership agrees with deletion_tuples() on every view tuple.
+  size_t marked = 0;
+  for (size_t v = 0; v < instance().view_count(); ++v) {
+    for (size_t t = 0; t < instance().view(v).size(); ++t) {
+      ViewTupleId id{v, t};
+      bool listed = std::binary_search(instance().deletion_tuples().begin(),
+                                       instance().deletion_tuples().end(), id);
+      EXPECT_EQ(instance().IsMarkedForDeletion(id), listed);
+      if (listed) ++marked;
+    }
   }
+  EXPECT_EQ(marked, instance().TotalDeletionTuples());
 
   ASSERT_TRUE(instance().ResetDeletions({}).ok());
   EXPECT_FALSE(instance().IsMarkedForDeletion(ViewTupleId{0, 1}));

@@ -8,6 +8,7 @@
 #include "dp/vse_instance.h"
 #include "plan/compiled_instance.h"
 #include "testing/fuzzer.h"
+#include "testing/reference_eval.h"
 #include "workload/author_journal.h"
 #include "workload/path_schema.h"
 
@@ -84,16 +85,21 @@ TEST_F(PlanFig1Test, WitnessRowsKeepRawMembers) {
   }
 }
 
+// Both the kill rows and KilledBy (which reads them) must reproduce the
+// reference index built straight from the views.
 TEST_F(PlanFig1Test, KillRowsMatchKilledBy) {
   std::shared_ptr<const CompiledInstance> plan = instance().compiled();
+  testing::KillIndex reference = testing::ReferenceKillIndex(instance());
+  ASSERT_EQ(reference.size(), plan->base_count());
   for (uint32_t b = 0; b < plan->base_count(); ++b) {
-    const auto& killed = instance().KilledBy(plan->base_ref(b));
+    const std::vector<ViewTupleId>& killed = reference.at(plan->base_ref(b));
     ASSERT_EQ(plan->kill_end(b) - plan->kill_begin(b), killed.size());
     for (size_t k = 0; k < killed.size(); ++k) {
       uint32_t dense =
           plan->kill_tuple(plan->kill_begin(b) + static_cast<uint32_t>(k));
       EXPECT_EQ(plan->IdOf(dense), killed[k]);
     }
+    EXPECT_EQ(instance().KilledBy(plan->base_ref(b)), killed);
   }
 }
 
