@@ -66,9 +66,10 @@ namespace internal {
 /// exactly the matches created by appending those rows. Each new witness is
 /// emitted once (canonical first-new-atom decomposition: the earliest atom
 /// bound to a new row is pinned, earlier atoms range over old rows only), in
-/// deterministic (pivot atom, pivot row, backtracking) order. Work is
-/// proportional to the delta's join neighborhood, never to the old matches.
-/// `first_new_row` must have one entry per relation.
+/// deterministic (pivot atom, pivot row, backtracking) order. The join uses
+/// no index: every atom except the pivot scans all rows of its relation per
+/// partial match, so atoms before the pivot enumerate their whole old-row
+/// join. `first_new_row` must have one entry per relation.
 Status CollectDeltaMatches(const Database& database,
                            const ConjunctiveQuery& query,
                            const DeletionSet& mask,

@@ -151,10 +151,17 @@ class VseInstance {
   /// creation only borrowed it read-only), rows in `delta.deletes` join the
   /// instance's base mask, and the materialized views, all_unique_witness
   /// tally, ΔV marks, weights, and compiled plan are all delta-updated in
-  /// place. Equivalent to re-creating the instance over the mutated database
-  /// (byte-identically — property-tested by the mutate-vs-rebuild oracle in
-  /// testing/mutation.h), at a cost proportional to the delta's join
-  /// neighborhood, not to ‖D‖ or ‖V‖.
+  /// place. The result is byte-identical to re-indexing the live views
+  /// (CreateFromMaterializedViews); a fresh Create over the mutated database
+  /// agrees only as sets, since tuples an insert creates are appended to
+  /// their view. The mutate-vs-rebuild oracle in testing/mutation.h checks
+  /// both.
+  ///
+  /// Cost: a delete touches only the view tuples in its rows' kill rows,
+  /// but compacting a view that lost a tuple and patching the core are
+  /// linear in ‖V‖ and the core. Inserts are joined by
+  /// internal::CollectDeltaMatches, which scans every non-pivot atom's
+  /// relation per partial match (no index).
   ///
   /// The whole delta is validated first and rejected without side effects:
   /// inserts must match arity and respect keys (masked rows keep their keys

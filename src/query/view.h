@@ -1,11 +1,11 @@
 #ifndef DELPROP_QUERY_VIEW_H_
 #define DELPROP_QUERY_VIEW_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "common/hash.h"
 #include "relational/database.h"
 #include "relational/deletion_set.h"
 #include "query/conjunctive_query.h"
@@ -27,6 +27,11 @@ struct ViewTuple {
 };
 
 /// A materialized query result Q(D) with lineage.
+///
+/// Head values are indexed by a flat open-addressing table of `uint32_t`
+/// tuple indices whose keys are read back from the tuples themselves, so a
+/// view holds at most 2^32 - 1 tuples — the same limit PlanCore's
+/// `uint32_t` dense ids put on a compiled instance.
 class View {
  public:
   View(const ConjunctiveQuery* query, const Database* database)
@@ -66,10 +71,28 @@ class View {
   size_t size() const { return tuples_.size(); }
 
  private:
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+
+  /// Home slot of `values`; `slots_` must be non-empty.
+  size_t HomeSlot(const Tuple& values) const;
+  /// The slot holding `values`' tuple index, else the empty slot ending its
+  /// probe run; `slots_` must be non-empty.
+  size_t Probe(const Tuple& values) const;
+  /// Rebuilds `slots_` from `tuples_` at the smallest power-of-two capacity
+  /// that keeps the load at most ½ for `size` keys.
+  void Rehash(size_t size);
+  /// Backward-shift deletion of the entry in `slot`: later entries of its
+  /// probe run move up, so no tombstone is left behind. Reads the keys of
+  /// the entries it moves, so those tuples must still be in place.
+  void EraseSlot(size_t slot);
+
   const ConjunctiveQuery* query_;
   const Database* database_;
   std::vector<ViewTuple> tuples_;
-  std::unordered_map<Tuple, size_t, VectorHash<ValueId>> index_by_values_;
+  /// Linear-probing table of indices into `tuples_`: power-of-two size,
+  /// load at most ½, kEmptySlot marks a free slot. Empty until the first
+  /// AddMatch.
+  std::vector<uint32_t> slots_;
 };
 
 }  // namespace delprop

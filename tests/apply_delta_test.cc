@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -137,6 +138,51 @@ TEST_F(ApplyDeltaTest, MixedDeltaMatchesReindexUnderWeights) {
   EXPECT_GT(report.view_tuples_added, 0u);
   EXPECT_GT(report.view_tuples_removed, 0u);
   ExpectMatchesReindex();
+}
+
+// One delta that both shifts a surviving tuple (compaction) and adds a
+// witness to it (insert): the insert must find the survivor at its new index.
+TEST_F(ApplyDeltaTest, CompactedSurvivorGainsWitness) {
+  ASSERT_EQ(instance().RenderViewTuple(ViewTupleId{0, 4}), "Q3(John, CUBE)");
+  RelationId t2 = *db().schema().FindRelation("T2");
+  BaseDelta delta;
+  delta.deletes.push_back(Row("T1", 0));  // (Joe, TKDE)
+  delta.inserts.push_back(BaseInsert{
+      t2,
+      {db().dict().Intern("TODS"), db().dict().Intern("CUBE"),
+       db().dict().Intern("30")}});
+  ApplyDeltaReport report;
+  ASSERT_TRUE(instance().ApplyDelta(db(), delta, {}, &report).ok());
+
+  EXPECT_EQ(report.view_tuples_added, 1u);    // Q4 (John, TODS, CUBE)
+  EXPECT_EQ(report.view_tuples_removed, 4u);  // Joe's two Q3 and two Q4 rows
+  EXPECT_EQ(report.witnesses_added, 2u);
+  EXPECT_EQ(report.witnesses_removed, 4u);
+  EXPECT_TRUE(report.core_patched);
+
+  // Q3 (John, CUBE) moved from index 4 to 2 and gained the TODS witness.
+  Tuple john_cube = {*db().dict().Find("John"), *db().dict().Find("CUBE")};
+  ASSERT_EQ(instance().view(0).Find(john_cube), std::optional<size_t>(2));
+  EXPECT_EQ(instance().RenderViewTuple(ViewTupleId{0, 2}), "Q3(John, CUBE)");
+  EXPECT_EQ(instance().view(0).tuple(2).witnesses.size(), 2u);
+  std::vector<std::string> q4;
+  for (size_t t = 0; t < instance().view(1).size(); ++t) {
+    q4.push_back(instance().RenderViewTuple(ViewTupleId{1, t}));
+  }
+  EXPECT_NE(std::find(q4.begin(), q4.end(), "Q4(John, TODS, CUBE)"),
+            q4.end());
+  ExpectMatchesReindex();
+}
+
+TEST_F(ApplyDeltaTest, EmptyDeltaBuildsNoCore) {
+  ASSERT_EQ(instance().plan_stats().full_builds, 0u) << "never compiled";
+  uint64_t epoch_before = instance().structure_epoch();
+  ApplyDeltaReport report;
+  ASSERT_TRUE(instance().ApplyDelta(db(), BaseDelta{}, {}, &report).ok());
+  EXPECT_EQ(instance().plan_stats().full_builds, 0u);
+  EXPECT_EQ(instance().structure_epoch(), epoch_before);
+  EXPECT_FALSE(report.core_patched);
+  EXPECT_FALSE(report.core_rebuilt);
 }
 
 TEST_F(ApplyDeltaTest, ErrorsNameTheOffendingRelationAndRow) {
