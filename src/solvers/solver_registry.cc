@@ -7,7 +7,6 @@
 #include "setcover/red_blue_solvers.h"
 #include "solvers/balanced_pnpsc_solver.h"
 #include "solvers/dp_tree_solver.h"
-#include "solvers/exact_solver.h"
 #include "solvers/greedy_solver.h"
 #include "solvers/local_search_solver.h"
 #include "solvers/lowdeg_tree_solver.h"
@@ -22,8 +21,13 @@ namespace delprop {
 // inner loop; the engine additionally memoizes solvers per worker.
 // delprop-hot-stop
 std::unique_ptr<VseSolver> MakeSolver(const std::string& name) {
-  if (name == "exact") return std::make_unique<ExactSolver>();
-  if (name == "exact-balanced") return std::make_unique<ExactBalancedSolver>();
+  // The exact names are aliases of the ILP with default options: no
+  // deadline, so their answers never depend on the wall clock. The
+  // branch-and-bound classes in exact_solver.h stay for direct construction.
+  if (name == "exact") return std::make_unique<IlpSolver>();
+  if (name == "exact-balanced") {
+    return std::make_unique<IlpSolver>(Objective::kBalanced);
+  }
   if (name == "ilp" || name == "ilp-balanced") {
     // Registry-made ILP solvers carry a 2s wall-clock deadline so RunAll and
     // the shell stay responsive on adversarial instances; past it the solver
@@ -73,7 +77,6 @@ std::vector<std::string> AllSolverNames() {
 std::vector<SolverRun> RunAll(const VseInstance& instance, ThreadPool* pool,
                               std::vector<std::string> names) {
   if (names.empty()) {
-    names.push_back("exact");
     names.push_back("ilp");
     for (const auto& solver : StandardApproximationSolvers()) {
       names.push_back(solver->name());

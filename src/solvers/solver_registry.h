@@ -11,9 +11,13 @@
 namespace delprop {
 
 /// Creates a solver by its stable name:
-///   "exact", "exact-balanced", "greedy", "rbsc-lowdeg", "rbsc-greedy",
-///   "balanced-pnpsc", "primal-dual", "lowdeg-tree", "dp-tree",
-///   "dp-tree-balanced", "source-greedy", "source-exact", "single-deletion".
+///   "exact", "exact-balanced", "ilp", "ilp-balanced", "greedy",
+///   "local-search", "rbsc-lowdeg", "rbsc-greedy", "balanced-pnpsc",
+///   "primal-dual", "lowdeg-tree", "dp-tree", "dp-tree-balanced",
+///   "source-greedy", "source-exact", "single-deletion".
+/// "exact" and "exact-balanced" are aliases of the ILP (IlpSolver with
+/// default options, so no deadline); the solvers they return are named
+/// "ilp" and "ilp-balanced". "ilp" and "ilp-balanced" carry a 2 s deadline.
 /// Returns nullptr for an unknown name.
 std::unique_ptr<VseSolver> MakeSolver(const std::string& name);
 
@@ -37,7 +41,7 @@ struct SolverRun {
 /// returned vector is in `names` order and its contents are identical for
 /// any thread count — solvers are deterministic and each task writes only
 /// its own slot. Unknown names yield a NotFound result in their slot.
-/// With an empty `names`, runs the bench comparison set: "exact" plus
+/// With an empty `names`, runs the bench comparison set: "ilp" plus
 /// StandardApproximationSolvers().
 std::vector<SolverRun> RunAll(const VseInstance& instance,
                               ThreadPool* pool = nullptr,
