@@ -62,14 +62,9 @@ done 2>&1 | tee bench_output.txt
 # "<hash>-dirty" git id into a committed snapshot.
 cmake -B build-bench -G Ninja -DCMAKE_BUILD_TYPE=Release
 cmake --build build-bench --target bench_solver_comparison \
-  bench_substrate_runtime bench_engine_throughput bench_incremental \
-  bench_kill_kernels
+  bench_substrate_runtime bench_engine_throughput bench_incremental
 ./build-bench/bench/bench_solver_comparison --threads 1 --repeat 5 --warmup 1 \
   --json BENCH_solver_comparison.json
-# Scalar-vs-bitset tracker A/B (docs/perf.md "Bit-parallel kill kernels");
-# exits nonzero if the two kernels' op fingerprints disagree.
-./build-bench/bench/bench_kill_kernels --repeat 5 --warmup 1 \
-  --json BENCH_kill_kernels.json
 ./build-bench/bench/bench_substrate_runtime --threads 1 \
   --json BENCH_substrate_runtime.json \
   --benchmark_filter='BM_RbscGreedy|BM_DataForestBuild' \

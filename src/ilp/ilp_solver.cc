@@ -127,8 +127,6 @@ double IlpSolver::WarmStart(uint32_t c, DamageTracker& tracker) {
   const uint32_t* tend = model_.comp_tuples_end(c);
   for (const uint32_t* t = tbegin; t != tend; ++t) {
     while (!tracker.IsKilledDense(*t)) {
-      // First unhit witness — one ctz on the alive mask under the bit
-      // kernels, the legacy hit-counter scan otherwise.
       uint32_t open = tracker.FirstUnhitWitness(*t);
       if (open == kNpos) break;  // unreachable: unkilled => an alive witness
       uint32_t best_base = kNpos;
@@ -235,9 +233,7 @@ void IlpSolver::DescendStandard(uint32_t c, DamageTracker& tracker) {
   double bound = cost + DualBound(c, tracker);
   if (bound >= best_cost_) return;
   // Branch on the unhit witness of the first unkilled ΔV tuple with the
-  // fewest available members (strict <, first wins: deterministic). The
-  // unhit witnesses come off the alive mask (ctz walk) under the bit
-  // kernels; the availability count still needs the member scan either way.
+  // fewest available members (strict <, first wins: deterministic).
   uint32_t branch_witness = kNpos;
   uint32_t branch_avail = std::numeric_limits<uint32_t>::max();
   tracker.ForEachUnhitWitness(first_unkilled, [&](uint32_t w) {
@@ -321,9 +317,9 @@ double IlpSolver::DualBound(uint32_t c, DamageTracker& tracker) {
     if (tracker.IsKilledDense(dense)) continue;
     uint32_t chosen = kNpos;
     bool infeasible = false;
-    // Full scan over the unhit witnesses (alive-mask ctz walk under the bit
-    // kernels): a later witness with no available member still proves the
-    // subtree infeasible, so no early exit once `chosen` is set.
+    // Full scan over the unhit witnesses: a later witness with no available
+    // member still proves the subtree infeasible, so no early exit once
+    // `chosen` is set.
     tracker.ForEachUnhitWitness(dense, [&](uint32_t w) {
       uint32_t avail = 0;
       bool conflict = false;
@@ -424,51 +420,19 @@ double IlpSolver::BalancedDualBound(uint32_t c, DamageTracker& tracker) {
 
 /// Marginal damage of `base` restricted to pack-uncharged preserved tuples
 /// (charge == false), or marks every marginal tuple of `base` as charged
-/// (charge == true). Mirrors DamageTracker::MarginalDamageBase's walk: a
-/// preserved tuple is marginal when all of its unhit witnesses contain
-/// `base`. Under the bit kernels that is two word ops per kill-row entry
-/// (alive mask nonzero and covered by the row's witness-incidence mask);
-/// both paths visit marginal tuples in the same ascending-tuple order, so
-/// the pack sums are bit-identical.
+/// (charge == true). The marginal tuples are the tracker's newly killed
+/// ones, visited in ascending dense id as MarginalDamageBase sums them.
 double IlpSolver::MarginalWeight(uint32_t base, const DamageTracker& tracker,
                                  bool charge) {
   const CompiledInstance& plan = tracker.plan();
   double sum = 0.0;
-  if (tracker.bit_kernels_active()) {
-    uint32_t end = plan.kill_end(base);
-    for (uint32_t slot = plan.kill_begin(base); slot < end; ++slot) {
-      uint32_t dense = plan.kill_tuple(slot);
-      if (plan.is_deletion(dense)) continue;
-      uint64_t la = tracker.AliveMaskDense(dense);
-      if (la == 0 || (la & ~plan.kill_witness_mask(slot)) != 0) continue;
-      if (charge) {
-        pack_charged_stamp_[dense] = pack_epoch_;
-      } else if (pack_charged_stamp_[dense] != pack_epoch_) {
-        sum += plan.weight(dense);
-      }
-    }
-    return sum;
-  }
-  uint32_t slot = plan.occ_begin(base);
-  uint32_t end = plan.occ_end(base);
-  while (slot < end) {
-    uint32_t dense = plan.occ_tuple(slot);
-    uint32_t mine_unhit = 0;
-    do {
-      // delprop-lint: scalar-kill-loop-ok scalar fallback path
-      if (tracker.witness_hits(plan.occ_witness(slot)) == 0) ++mine_unhit;
-      ++slot;
-    } while (slot < end && plan.occ_tuple(slot) == dense);
-    if (plan.is_deletion(dense)) continue;
-    uint32_t dead = tracker.dead_witness_count(dense);
-    uint32_t total = plan.tuple_witness_count(dense);
-    if (dead >= total || dead + mine_unhit != total) continue;
+  tracker.ForEachNewlyKilledPreserved(base, [&](uint32_t dense) {
     if (charge) {
       pack_charged_stamp_[dense] = pack_epoch_;
     } else if (pack_charged_stamp_[dense] != pack_epoch_) {
       sum += plan.weight(dense);
     }
-  }
+  });
   return sum;
 }
 

@@ -42,9 +42,6 @@ void Linter::AddDefaultRules(const std::vector<std::string>& only) {
   if (wanted("hot-path-allocation")) {
     AddRule(std::make_unique<HotPathAllocationRule>());
   }
-  if (wanted("scalar-kill-loop")) {
-    AddRule(std::make_unique<ScalarKillLoopRule>());
-  }
   if (wanted("shared-core-mutation")) {
     AddRule(std::make_unique<SharedCoreMutationRule>());
   }

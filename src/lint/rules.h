@@ -168,32 +168,6 @@ class HotPathAllocationRule : public Rule {
   const SemanticModel* model_ = nullptr;
 };
 
-/// scalar-kill-loop: a per-element walk over the witness hit counters
-/// (`witness_hits_[...]` or the `witness_hits(...)` accessor) inside a loop
-/// in a hot-reachable function. The bit-parallel kill kernels
-/// (src/solvers/kill_kernels.h) answer the same queries with word ops —
-/// popcount over the packed hit bits, one alive-mask test per kill-row slot
-/// — so a scalar counter loop on the hot path forfeits the speedup for
-/// every plan the packed layout supports. Use the kernel-backed tracker
-/// queries (MarginalDamageBase, FirstUnhitWitness, ForEachUnhitWitness,
-/// dead_witness_count) or suppress with
-/// `// delprop-lint: scalar-kill-loop-ok` on the sanctioned scalar
-/// fallback twins.
-class ScalarKillLoopRule : public Rule {
- public:
-  std::string_view name() const override { return "scalar-kill-loop"; }
-  std::string_view description() const override {
-    return "per-witness counter loop on the hot path; use the bit kernels";
-  }
-  bool wants_semantic_model() const override { return true; }
-  void BindModel(const SemanticModel* model) override { model_ = model; }
-  void Check(const SourceFile& file,
-             std::vector<Diagnostic>* out) const override;
-
- private:
-  const SemanticModel* model_ = nullptr;
-};
-
 /// shared-core-mutation: a write to `PlanCore`/`CompiledInstance` state
 /// outside the sanctioned mutation points. The compiled core is shared
 /// immutably across worker replicas; every legal mutation lives in

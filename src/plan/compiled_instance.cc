@@ -65,7 +65,6 @@ void FinishCore(PlanCore* core) {
   size_t occ_total = core->base_occ_first[base_count];
   core->occ_tuple.resize(occ_total);
   core->occ_witness.resize(occ_total);
-  core->occ_hit_bit.resize(occ_total);
   {
     std::vector<uint32_t> cursor(core->base_occ_first.begin(),
                                  core->base_occ_first.end() - 1);
@@ -75,40 +74,17 @@ void FinishCore(PlanCore* core) {
         uint32_t slot = cursor[dedup[i]]++;
         core->occ_tuple[slot] = owner;
         core->occ_witness[slot] = wid;
-        // Hit bit = position in the flattened dedup list: witness wid owns
-        // bits [dedup_first[wid], dedup_first[wid+1]), one per unique
-        // member. Witness ids ascend along every occ row (rows are sorted
-        // by (tuple, witness) and wid ranges follow tuple order), so hit
-        // bits ascend too — the kernels' word-merge relies on that.
-        core->occ_hit_bit[slot] = i;
       }
     }
   }
-  core->witness_bit_first = std::move(dedup_first);
 
-  // Row-width statistics + the bit-support verdict. The packed kill masks
-  // index a tuple's witnesses by their offset from tuple_witness_first, so
-  // the bit-parallel path requires every fan-in to fit one 64-bit word.
-  uint32_t tuple_count = core->tuple_count();
-  core->max_witnesses_per_tuple = 0;
-  for (uint32_t t = 0; t < tuple_count; ++t) {
-    core->max_witnesses_per_tuple =
-        std::max(core->max_witnesses_per_tuple,
-                 core->tuple_witness_first[t + 1] - core->tuple_witness_first[t]);
-  }
-  core->max_witness_members = 0;
-  core->min_witness_raw_members =
-      witness_count == 0 ? 0 : 0xFFFFFFFFu;
+  core->min_witness_raw_members = witness_count == 0 ? 0 : 0xFFFFFFFFu;
   for (uint32_t wid = 0; wid < witness_count; ++wid) {
-    core->max_witness_members =
-        std::max(core->max_witness_members, core->witness_bit_first[wid + 1] -
-                                                core->witness_bit_first[wid]);
     core->min_witness_raw_members =
         std::min(core->min_witness_raw_members,
                  core->witness_member_first[wid + 1] -
                      core->witness_member_first[wid]);
   }
-  core->bits_supported = core->max_witnesses_per_tuple <= 64;
 
   // Kill rows: unique view tuples per base, in row order (ascending (view,
   // tuple)) — the per-base run-dedup of the occurrence rows.
@@ -129,8 +105,6 @@ void FinishCore(PlanCore* core) {
     core->base_kill_first[b + 1] += core->base_kill_first[b];
   }
   core->kill_tuple.resize(core->base_kill_first[base_count]);
-  core->kill_witness_mask.assign(
-      core->bits_supported ? core->kill_tuple.size() : 0, 0);
   for (uint32_t b = 0; b < base_count; ++b) {
     uint32_t out = core->base_kill_first[b];
     uint32_t prev = CompiledInstance::kNpos;
@@ -140,10 +114,6 @@ void FinishCore(PlanCore* core) {
       if (t != prev) {
         prev = t;
         core->kill_tuple[out++] = t;
-      }
-      if (core->bits_supported) {
-        core->kill_witness_mask[out - 1] |=
-            1ull << (core->occ_witness[slot] - core->tuple_witness_first[t]);
       }
     }
   }
@@ -496,12 +466,10 @@ std::shared_ptr<const CompiledInstance> CompiledInstance::BuildFromCore(
     CompiledInstance& prev = const_cast<CompiledInstance&>(*recycle);
     for (uint32_t d : prev.deletion_dense_) {
       prev.is_deletion_[d] = 0;
-      prev.deletion_words_[d >> 6] &= ~(1ull << (d & 63));
       prev.deletion_index_[d] = kNpos;
     }
     for (uint32_t b : prev.candidate_bases_) prev.touched_[b] = 0;
     plan->is_deletion_ = std::move(prev.is_deletion_);
-    plan->deletion_words_ = std::move(prev.deletion_words_);
     plan->deletion_index_ = std::move(prev.deletion_index_);
     plan->touched_ = std::move(prev.touched_);
     plan->deletion_dense_ = std::move(prev.deletion_dense_);
@@ -511,8 +479,6 @@ std::shared_ptr<const CompiledInstance> CompiledInstance::BuildFromCore(
     plan->overlay_recycled_ = true;
   } else {
     plan->is_deletion_.assign(tuple_count, 0);
-    plan->deletion_words_.assign((static_cast<size_t>(tuple_count) + 63) / 64,
-                                 0);
     plan->deletion_index_.assign(tuple_count, kNpos);
     plan->touched_.assign(base_count, 0);
     plan->deletion_dense_.reserve(deletions.size());
@@ -523,7 +489,6 @@ std::shared_ptr<const CompiledInstance> CompiledInstance::BuildFromCore(
   for (size_t i = 0; i < deletions.size(); ++i) {
     uint32_t d = plan->DenseOf(deletions[i]);
     plan->is_deletion_[d] = 1;
-    plan->deletion_words_[d >> 6] |= 1ull << (d & 63);
     plan->deletion_index_[d] = static_cast<uint32_t>(i);
     plan->deletion_dense_.push_back(d);
   }

@@ -36,26 +36,8 @@ struct PlanCore {
   std::vector<uint32_t> base_kill_first;  // size base_count + 1
   std::vector<uint32_t> kill_tuple;
 
-  // --- bit-parallel kill-kernel layout (src/solvers/kill_kernels.h) -------
-  // Packed member-hit bit space: witness `wid` owns the absolute bit range
-  // [witness_bit_first[wid], witness_bit_first[wid+1]) — one bit per UNIQUE
-  // member base (the deduped row FinishCore already derives), and
-  // occ_hit_bit[slot] is the absolute bit of occurrence `slot`. Both are
-  // emitted unconditionally: the bit space is just the deduped member list
-  // reindexed, so it costs one uint32 per occurrence.
-  std::vector<uint32_t> witness_bit_first;  // size witness_count + 1
-  std::vector<uint32_t> occ_hit_bit;        // per occ slot, ascending per row
-  // Per kill entry: witness-incidence mask of the owning base within the
-  // killed tuple — bit j set iff witness (tuple_witness_first[t] + j)
-  // contains the base. Only emitted when `bits_supported` (every tuple's
-  // witness fan-in fits one word); wide-fan-in plans keep the scalar CSR.
-  std::vector<uint64_t> kill_witness_mask;  // parallel to kill_tuple
-  // Row-width statistics: drive the per-plan kernel dispatch and the exact
-  // solver's branch short-circuit.
-  uint32_t max_witnesses_per_tuple = 0;
-  uint32_t max_witness_members = 0;      // widest deduped member row
-  uint32_t min_witness_raw_members = 0;  // narrowest raw member row
-  bool bits_supported = false;           // kill_witness_mask emitted
+  // Narrowest raw member row: the exact search's branch short-circuit.
+  uint32_t min_witness_raw_members = 0;
 
   uint32_t tuple_count() const { return static_cast<uint32_t>(weight.size()); }
   uint32_t witness_count() const {
@@ -176,22 +158,14 @@ class CompiledInstance {
   const std::vector<uint32_t>& deletion_dense() const {
     return deletion_dense_;
   }
-  /// ΔV as a bitset over dense tuple ids (bit d set iff is_deletion(d)),
-  /// ceil(tuple_count/64) words — the word-parallel twin of `is_deletion`.
-  const std::vector<uint64_t>& deletion_words() const {
-    return deletion_words_;
-  }
-  /// Number of ΔV tuples in `base`'s kill row: branchless bit-test
-  /// accumulation against the ΔV word overlay. The set-cover reductions use
+  /// Number of ΔV tuples in `base`'s kill row. The set-cover reductions use
   /// this for their exact-size count pass before splitting a kill row into
   /// deletion / preserved element lists.
   uint32_t KillRowDeletionCount(uint32_t base) const {
-    const uint64_t* del = deletion_words_.data();
     uint32_t count = 0;
     uint32_t end = kill_end(base);
     for (uint32_t slot = kill_begin(base); slot < end; ++slot) {
-      uint32_t t = kill_tuple(slot);
-      count += static_cast<uint32_t>((del[t >> 6] >> (t & 63)) & 1u);
+      count += is_deletion_[kill_tuple(slot)];
     }
     return count;
   }
@@ -253,34 +227,7 @@ class CompiledInstance {
     return core_->base_kill_first[base + 1];
   }
   uint32_t kill_tuple(uint32_t slot) const { return core_->kill_tuple[slot]; }
-  /// Witness-incidence mask of kill entry `slot` within its killed tuple
-  /// (bit j ⇔ witness tuple_witness_begin(t)+j contains the base). Only
-  /// valid when `bits_supported()`.
-  uint64_t kill_witness_mask(uint32_t slot) const {
-    return core_->kill_witness_mask[slot];
-  }
 
-  // --- packed member-hit bit layout --------------------------------------
-  /// Absolute bit range owned by witness `wid`: one bit per unique member.
-  uint32_t witness_bit_begin(uint32_t wid) const {
-    return core_->witness_bit_first[wid];
-  }
-  uint32_t witness_bit_end(uint32_t wid) const {
-    return core_->witness_bit_first[wid + 1];
-  }
-  /// Absolute hit bit of occurrence `slot` (ascending within each occ row).
-  uint32_t occ_hit_bit(uint32_t slot) const {
-    return core_->occ_hit_bit[slot];
-  }
-  /// Total size of the packed member-hit bit space (one bit per unique
-  /// member of each witness).
-  uint32_t hit_bit_count() const { return core_->witness_bit_first.back(); }
-  /// True when every tuple's witness fan-in fits one 64-bit word, i.e. the
-  /// kill masks were emitted and the bit-parallel tracker path may bind.
-  bool bits_supported() const { return core_->bits_supported; }
-  uint32_t max_witnesses_per_tuple() const {
-    return core_->max_witnesses_per_tuple;
-  }
   /// Narrowest raw member row over all witnesses — a static lower bound on
   /// any branch witness's member count (exact solver short-circuit).
   uint32_t min_witness_raw_members() const {
@@ -302,7 +249,6 @@ class CompiledInstance {
 
   // ΔV overlay — the only arrays that change between plans sharing a core.
   std::vector<uint8_t> is_deletion_;      // per tuple
-  std::vector<uint64_t> deletion_words_;  // same predicate, 1 bit per tuple
   std::vector<uint32_t> deletion_index_;  // per tuple: ΔV position or kNpos
   std::vector<uint32_t> deletion_dense_;
   std::vector<uint32_t> candidate_bases_;

@@ -2,14 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 namespace delprop {
-
-using kernels::ClearBit;
-using kernels::ClearRange;
-using kernels::LowMask;
-using kernels::SetBit;
 
 DamageTracker::DamageTracker(const VseInstance& instance) {
   (void)Rebind(instance);
@@ -21,11 +15,7 @@ bool DamageTracker::Rebind(const VseInstance& instance) {
   // now recycle its overlay buffers instead of allocating.
   plan_.reset();
   plan_ = instance.compiled();
-  kernels_.Bind(plan_.get(), &kstate_);
-  bool want_bits =
-      plan_->bits_supported() &&
-      kernels::RequestedKernelMode() != kernels::KernelMode::kScalar;
-  bool reused = PrepareState(want_bits);
+  bool reused = PrepareState();
   deleted_.clear();
   foreign_.clear();
   initial_unkilled_deletions_ = 0;
@@ -40,56 +30,19 @@ bool DamageTracker::Rebind(const VseInstance& instance) {
   return reused;
 }
 
-bool DamageTracker::PrepareState(bool want_bits) {
-  if (want_bits != bits_ && plan_ != nullptr) {
-    // Mode flip (an override or a plan losing/gaining bit support): the
-    // retiring representation may hold dirty state its successor cannot
-    // roll back, so drop it entirely. Flips only happen under explicit A/B
-    // forcing — the steady state stays in one mode.
-    if (bits_) {
-      kstate_.hit_words = std::vector<uint64_t>();
-      kstate_.alive_words = std::vector<uint64_t>();
-      kstate_.killed_words = std::vector<uint64_t>();
-    } else {
-      witness_hits_ = std::vector<uint32_t>();
-      dead_witnesses_ = std::vector<uint32_t>();
-    }
-    touch_.Clear();
-    state_core_ = nullptr;
-  }
-  bits_ = want_bits;
+bool DamageTracker::PrepareState() {
   uint32_t witness_count = plan_->witness_count();
   uint32_t tuple_count = plan_->tuple_count();
   uint32_t base_count = plan_->base_count();
-  bool reused;
-  if (bits_) {
-    size_t hit_words = (static_cast<size_t>(plan_->hit_bit_count()) + 63) / 64;
-    size_t alive_words = (static_cast<size_t>(witness_count) + 63) / 64;
-    size_t killed_words = (static_cast<size_t>(tuple_count) + 63) / 64;
-    reused = kstate_.hit_words.size() == hit_words &&
-             kstate_.alive_words.size() == alive_words &&
-             kstate_.killed_words.size() == killed_words &&
-             deleted_stamp_.size() == base_count && epoch_ != 0xFFFFFFFFu;
-    if (reused) {
-      ClearState();
-      ++epoch_;
-      return true;
-    }
-    kstate_.hit_words.assign(hit_words, 0);
-    kstate_.alive_words.assign(alive_words, ~0ull);
-    kstate_.killed_words.assign(killed_words, 0);
-  } else {
-    reused = witness_hits_.size() == witness_count &&
-             dead_witnesses_.size() == tuple_count &&
-             deleted_stamp_.size() == base_count && epoch_ != 0xFFFFFFFFu;
-    if (reused) {
-      ClearState();
-      ++epoch_;
-      return true;
-    }
-    witness_hits_.assign(witness_count, 0);
-    dead_witnesses_.assign(tuple_count, 0);
+  if (witness_hits_.size() == witness_count &&
+      dead_witnesses_.size() == tuple_count &&
+      deleted_stamp_.size() == base_count && epoch_ != 0xFFFFFFFFu) {
+    ClearState();
+    ++epoch_;
+    return true;
   }
+  witness_hits_.assign(witness_count, 0);
+  dead_witnesses_.assign(tuple_count, 0);
   deleted_stamp_.assign(base_count, 0);
   deleted_pos_.resize(base_count);
   // At most every candidate base can be deleted; reserving here keeps
@@ -97,61 +50,20 @@ bool DamageTracker::PrepareState(bool want_bits) {
   deleted_.reserve(base_count);
   epoch_ = 1;
   touch_.Bind(witness_count, tuple_count);
-  state_core_ = nullptr;  // freshly assigned arrays still need seeding
-  ClearState();
+  state_core_ = plan_->core().get();  // freshly zeroed arrays are pristine
   return false;
 }
 
 void DamageTracker::ClearState() {
-  uint32_t witness_count = plan_->witness_count();
-  uint32_t tuple_count = plan_->tuple_count();
   // A sparse rollback replays the touch log against the layout it was
-  // recorded under, so it requires the same core (identical witness-bit
-  // ranges) and a log that never overflowed its caps.
-  bool sparse = !touch_.overflow && state_core_ == plan_->core().get();
-  if (bits_) {
-    uint64_t* hit = kstate_.hit_words.data();
-    uint64_t* alive = kstate_.alive_words.data();
-    uint64_t* killed = kstate_.killed_words.data();
-    if (sparse) {
-      for (uint32_t wid : touch_.witnesses) {
-        uint32_t first = plan_->witness_bit_begin(wid);
-        ClearRange(hit, first, plan_->witness_bit_end(wid) - first);
-        SetBit(alive, wid);
-      }
-      for (uint32_t dense : touch_.tuples) ClearBit(killed, dense);
-    } else {
-      std::fill(kstate_.hit_words.begin(), kstate_.hit_words.end(), 0);
-      std::fill(kstate_.alive_words.begin(), kstate_.alive_words.end(),
-                ~0ull);
-      if (witness_count % 64 != 0 && !kstate_.alive_words.empty()) {
-        kstate_.alive_words.back() = LowMask(witness_count % 64);
-      }
-      std::fill(kstate_.killed_words.begin(), kstate_.killed_words.end(), 0);
-      // Witness-less tuples are killed from the start (scalar convention:
-      // dead_witnesses == tuple_witness_count == 0). Absent on every
-      // generated workload; the list is cached per core.
-      if (zero_witness_core_ != plan_->core().get()) {
-        zero_witness_tuples_.clear();
-        for (uint32_t t = 0; t < tuple_count; ++t) {
-          if (plan_->tuple_witness_count(t) == 0) {
-            // delprop-lint: hot-path-allocation-ok once per core, cold
-            zero_witness_tuples_.push_back(t);
-          }
-        }
-        zero_witness_core_ = plan_->core().get();
-      }
-      for (uint32_t t : zero_witness_tuples_) SetBit(killed, t);
-    }
+  // recorded under, so it requires the same core and a log that never
+  // overflowed its caps.
+  if (!touch_.overflow && state_core_ == plan_->core().get()) {
+    for (uint32_t wid : touch_.witnesses) witness_hits_[wid] = 0;
+    for (uint32_t dense : touch_.tuples) dead_witnesses_[dense] = 0;
   } else {
-    if (sparse) {
-      // delprop-lint: scalar-kill-loop-ok sparse rollback of the scalar state
-      for (uint32_t wid : touch_.witnesses) witness_hits_[wid] = 0;
-      for (uint32_t dense : touch_.tuples) dead_witnesses_[dense] = 0;
-    } else {
-      std::fill(witness_hits_.begin(), witness_hits_.end(), 0);
-      std::fill(dead_witnesses_.begin(), dead_witnesses_.end(), 0);
-    }
+    std::fill(witness_hits_.begin(), witness_hits_.end(), 0);
+    std::fill(dead_witnesses_.begin(), dead_witnesses_.end(), 0);
   }
   touch_.Clear();
   state_core_ = plan_->core().get();
@@ -190,31 +102,6 @@ double DamageTracker::Delete(const TupleRef& ref) {
   return DeleteBase(base);
 }
 
-double DamageTracker::DeleteBaseScalar(uint32_t base) {
-  double newly_killed = 0.0;
-  uint32_t end = plan_->occ_end(base);
-  for (uint32_t slot = plan_->occ_begin(base); slot < end; ++slot) {
-    uint32_t wid = plan_->occ_witness(slot);
-    // delprop-lint: scalar-kill-loop-ok scalar fallback path
-    if (witness_hits_[wid]++ == 0) {
-      touch_.NoteWitness(wid);
-      uint32_t dense = plan_->occ_tuple(slot);
-      uint32_t dead = ++dead_witnesses_[dense];
-      if (dead == 1) touch_.NoteTuple(dense);
-      if (dead == plan_->tuple_witness_count(dense)) {
-        if (plan_->is_deletion(dense)) {
-          --unkilled_deletions_;
-          surviving_deletion_weight_ -= plan_->weight(dense);
-        } else {
-          killed_preserved_weight_ += plan_->weight(dense);
-          newly_killed += plan_->weight(dense);
-        }
-      }
-    }
-  }
-  return newly_killed;
-}
-
 void DamageTracker::Undelete(const TupleRef& ref) {
   uint32_t base = plan_->FindBase(ref);
   if (base == CompiledInstance::kNpos) {
@@ -226,24 +113,6 @@ void DamageTracker::Undelete(const TupleRef& ref) {
   UndeleteBase(base);
 }
 
-void DamageTracker::UndeleteBaseScalar(uint32_t base) {
-  uint32_t end = plan_->occ_end(base);
-  for (uint32_t slot = plan_->occ_begin(base); slot < end; ++slot) {
-    // delprop-lint: scalar-kill-loop-ok scalar fallback path
-    if (--witness_hits_[plan_->occ_witness(slot)] == 0) {
-      uint32_t dense = plan_->occ_tuple(slot);
-      if (dead_witnesses_[dense]-- == plan_->tuple_witness_count(dense)) {
-        if (plan_->is_deletion(dense)) {
-          ++unkilled_deletions_;
-          surviving_deletion_weight_ += plan_->weight(dense);
-        } else {
-          killed_preserved_weight_ -= plan_->weight(dense);
-        }
-      }
-    }
-  }
-}
-
 double DamageTracker::MarginalDamage(const TupleRef& ref) const {
   uint32_t base = plan_->FindBase(ref);
   if (base == CompiledInstance::kNpos) return 0.0;
@@ -251,79 +120,9 @@ double DamageTracker::MarginalDamage(const TupleRef& ref) const {
 }
 
 double DamageTracker::MarginalDamageBase(uint32_t base) const {
-  if (bits_) return kernels_.MarginalDamageBase(base);
-  return MarginalDamageBaseScalar(base);
-}
-
-uint32_t DamageTracker::SelectBranchWitness() {
-  if (bits_) return kernels_.SelectBranchWitness();
-  const CompiledInstance& plan = *plan_;
-  const uint32_t static_min = plan.min_witness_raw_members();
-  uint32_t best = CompiledInstance::kNpos;
-  uint32_t best_size = std::numeric_limits<uint32_t>::max();
-  for (uint32_t dense : plan.deletion_dense()) {
-    if (IsKilledDense(dense)) continue;
-    uint32_t wend = plan.tuple_witness_end(dense);
-    for (uint32_t w = plan.tuple_witness_begin(dense); w < wend; ++w) {
-      // delprop-lint: scalar-kill-loop-ok scalar fallback path
-      if (witness_hits_[w] != 0) continue;
-      uint32_t size = plan.member_end(w) - plan.member_begin(w);
-      if (size < best_size) {
-        best = w;
-        best_size = size;
-      }
-      // Strict-< first-wins: nothing can displace a static-minimum witness.
-      if (best_size == static_min) return best;
-    }
-  }
-  return best;
-}
-
-double DamageTracker::KpwAfterDeleteBaseScalar(uint32_t base) const {
-  // The marginal-damage run walk, but accumulating from the live aggregate
-  // per newly-killed tuple (ascending, one add per run) — the exact FP
-  // sequence DeleteBaseScalar would produce.
-  double acc = killed_preserved_weight_;
-  uint32_t slot = plan_->occ_begin(base);
-  uint32_t end = plan_->occ_end(base);
-  while (slot < end) {
-    uint32_t dense = plan_->occ_tuple(slot);
-    uint32_t fresh_dead = 0;
-    do {
-      // delprop-lint: scalar-kill-loop-ok scalar fallback path
-      if (witness_hits_[plan_->occ_witness(slot)] == 0) ++fresh_dead;
-      ++slot;
-    } while (slot < end && plan_->occ_tuple(slot) == dense);
-    if (plan_->is_deletion(dense)) continue;
-    uint32_t dead = dead_witnesses_[dense];
-    uint32_t total = plan_->tuple_witness_count(dense);
-    if (dead + fresh_dead == total && dead < total) {
-      acc += plan_->weight(dense);
-    }
-  }
-  return acc;
-}
-
-double DamageTracker::MarginalDamageBaseScalar(uint32_t base) const {
   double damage = 0.0;
-  uint32_t slot = plan_->occ_begin(base);
-  uint32_t end = plan_->occ_end(base);
-  // Occurrence rows are sorted by view tuple; walk runs.
-  while (slot < end) {
-    uint32_t dense = plan_->occ_tuple(slot);
-    uint32_t fresh_dead = 0;
-    do {
-      // delprop-lint: scalar-kill-loop-ok scalar fallback path
-      if (witness_hits_[plan_->occ_witness(slot)] == 0) ++fresh_dead;
-      ++slot;
-    } while (slot < end && plan_->occ_tuple(slot) == dense);
-    if (plan_->is_deletion(dense)) continue;
-    uint32_t dead = dead_witnesses_[dense];
-    uint32_t total = plan_->tuple_witness_count(dense);
-    if (dead + fresh_dead == total && dead < total) {
-      damage += plan_->weight(dense);
-    }
-  }
+  ForEachNewlyKilledPreserved(
+      base, [&](uint32_t dense) { damage += plan_->weight(dense); });
   return damage;
 }
 
@@ -337,11 +136,6 @@ void DamageTracker::MarginalDamageAll(const std::vector<uint32_t>& bases,
 
 bool DamageTracker::CanDropBase(uint32_t base) const {
   assert(IsDeletedBase(base));
-  if (bits_) return kernels_.CanDropBase(base);
-  return CanDropBaseScalar(base);
-}
-
-bool DamageTracker::CanDropBaseScalar(uint32_t base) const {
   uint32_t end = plan_->occ_end(base);
   uint32_t slot = plan_->occ_begin(base);
   while (slot < end) {
@@ -353,7 +147,7 @@ bool DamageTracker::CanDropBaseScalar(uint32_t base) const {
       continue;
     }
     do {
-      // delprop-lint: scalar-kill-loop-ok scalar fallback path
+      // `base` is this witness's only deleted member.
       if (witness_hits_[plan_->occ_witness(slot)] == 1) return false;
       ++slot;
     } while (slot < end && plan_->occ_tuple(slot) == dense);
@@ -377,27 +171,12 @@ void DamageTracker::CollectUnkilledDeletions(uint32_t base,
 bool DamageTracker::SwapWouldImprove(uint32_t base,
                                      const std::vector<uint32_t>& revived,
                                      double budget) const {
-  if (bits_) {
-    return kernels_.SwapWouldImprove(base, revived.data(),
-                                     static_cast<uint32_t>(revived.size()),
-                                     killed_preserved_weight_, budget);
-  }
-  return SwapWouldImproveScalar(base, revived.data(),
-                                static_cast<uint32_t>(revived.size()),
-                                budget);
-}
-
-bool DamageTracker::SwapWouldImproveScalar(uint32_t base,
-                                           const uint32_t* revived,
-                                           uint32_t n, double budget) const {
   // Feasibility first: every revived ΔV tuple must be newly killed by
   // `base`. Each check binary-searches the base's occurrence row (sorted by
   // tuple) for the tuple's run, then replays the marginal condition.
-  uint32_t begin = plan_->occ_begin(base);
   uint32_t end = plan_->occ_end(base);
-  uint32_t lo = begin;
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t target = revived[i];
+  uint32_t lo = plan_->occ_begin(base);
+  for (uint32_t target : revived) {
     uint32_t hi = end;
     while (lo < hi) {
       uint32_t mid = lo + (hi - lo) / 2;
@@ -409,37 +188,16 @@ bool DamageTracker::SwapWouldImproveScalar(uint32_t base,
     }
     if (lo == end || plan_->occ_tuple(lo) != target) return false;
     uint32_t fresh_dead = 0;
-    uint32_t run = lo;
     do {
-      // delprop-lint: scalar-kill-loop-ok scalar fallback path
-      if (witness_hits_[plan_->occ_witness(run)] == 0) ++fresh_dead;
-      ++run;
-    } while (run < end && plan_->occ_tuple(run) == target);
+      if (witness_hits_[plan_->occ_witness(lo)] == 0) ++fresh_dead;
+      ++lo;
+    } while (lo < end && plan_->occ_tuple(lo) == target);
+    // Revived ids ascend, so the next search starts past this run.
     uint32_t dead = dead_witnesses_[target];
     uint32_t total = plan_->tuple_witness_count(target);
     if (dead + fresh_dead != total || dead >= total) return false;
-    lo = run;  // revived ids ascend, so the next search starts past the run
   }
-  // Cost: accumulate the post-delete killed preserved weight in DeleteBase's
-  // addition order (ascending tuple, one add per newly-killed tuple).
-  double acc = killed_preserved_weight_;
-  uint32_t slot = begin;
-  while (slot < end) {
-    uint32_t dense = plan_->occ_tuple(slot);
-    uint32_t fresh_dead = 0;
-    do {
-      // delprop-lint: scalar-kill-loop-ok scalar fallback path
-      if (witness_hits_[plan_->occ_witness(slot)] == 0) ++fresh_dead;
-      ++slot;
-    } while (slot < end && plan_->occ_tuple(slot) == dense);
-    if (plan_->is_deletion(dense)) continue;
-    uint32_t dead = dead_witnesses_[dense];
-    uint32_t total = plan_->tuple_witness_count(dense);
-    if (dead + fresh_dead == total && dead < total) {
-      acc += plan_->weight(dense);
-    }
-  }
-  return acc < budget;
+  return KpwAfterDeleteBase(base) < budget;
 }
 
 // Result materialization: builds the final DeletionSet once, after the

@@ -9,9 +9,53 @@
 #include "dp/vse_instance.h"
 #include "plan/compiled_instance.h"
 #include "relational/deletion_set.h"
-#include "solvers/kill_kernels.h"
 
 namespace delprop {
+
+/// Records which witnesses died and which tuples gained a dead witness since
+/// the last reset, so Reset/Rebind can roll the counters back sparsely
+/// instead of zeroing whole arrays. Past the caps the log overflows and the
+/// owner falls back to a full clear — the caps are a fraction of the array
+/// sizes, so a sparse rollback is only attempted when it is actually
+/// cheaper.
+struct TouchLog {
+  std::vector<uint32_t> witnesses;
+  std::vector<uint32_t> tuples;
+  size_t witness_cap = 0;
+  size_t tuple_cap = 0;
+  bool overflow = false;
+
+  void Bind(size_t witness_count, size_t tuple_count) {
+    witness_cap = witness_count / 8 + 8;
+    tuple_cap = tuple_count / 8 + 8;
+    witnesses.clear();
+    tuples.clear();
+    witnesses.reserve(witness_cap);
+    tuples.reserve(tuple_cap);
+    overflow = false;
+  }
+  void NoteWitness(uint32_t wid) {
+    if (overflow) return;
+    if (witnesses.size() >= witness_cap) {
+      overflow = true;
+      return;
+    }
+    witnesses.push_back(wid);
+  }
+  void NoteTuple(uint32_t dense) {
+    if (overflow) return;
+    if (tuples.size() >= tuple_cap) {
+      overflow = true;
+      return;
+    }
+    tuples.push_back(dense);
+  }
+  void Clear() {
+    witnesses.clear();
+    tuples.clear();
+    overflow = false;
+  }
+};
 
 /// Incremental accounting of which view tuples die as base tuples are
 /// deleted, with exact multi-witness semantics: a witness is dead when it
@@ -19,18 +63,11 @@ namespace delprop {
 /// dead. Supports O(occurrences) delete/undelete and marginal-damage queries,
 /// shared by the greedy, exact, local-search, and ILP solvers.
 ///
-/// Runs entirely on the instance's CompiledInstance plan. Two state
-/// representations back the same contract, chosen per plan at Rebind time:
-///   * scalar: per-witness hit counters + per-tuple dead-witness counters
-///     (the CSR fallback, always available);
-///   * bit-parallel (src/solvers/kill_kernels.h): word-packed member-hit
-///     bits, a witness-alive bitset, and a tuple-killed bitset, with
-///     popcount marginal queries over the kill rows' witness-incidence
-///     masks. Bound whenever `plan->bits_supported()` (witness fan-in ≤ 64
-///     per tuple) unless DELPROP_KILL_KERNELS / a ScopedKernelOverride
-///     forces the scalar path.
-/// Both paths produce bit-identical aggregates and solver decisions — the
-/// `bitset-vs-scalar` fuzz oracle holds them to that.
+/// Runs entirely on the instance's CompiledInstance plan: per-witness hit
+/// counters (deleted unique members) and per-tuple dead-witness counters,
+/// updated by walking the deleted base's occurrence row. The
+/// `tracker-reference` fuzz oracle checks every query against a
+/// from-scratch recomputation over the plan's CSR.
 ///
 /// The TupleRef overloads stay for callers holding refs; the *Base overloads
 /// take dense base ids straight from the plan. Refs that occur in no witness
@@ -55,9 +92,6 @@ class DamageTracker {
   /// mutating their replica's ΔV so the retired plan becomes recyclable.
   void ReleasePlan() { plan_.reset(); }
 
-  /// True when this tracker bound the bit-parallel kill kernels.
-  bool bit_kernels_active() const { return bits_; }
-
   /// Deletes `ref` (must not be deleted already). Returns the preserved
   /// weight newly killed by this deletion.
   double Delete(const TupleRef& ref);
@@ -70,20 +104,35 @@ class DamageTracker {
   /// Preserved weight that deleting `ref` would newly kill right now.
   double MarginalDamage(const TupleRef& ref) const;
 
-  /// Dense-id variants (ids from plan(); never foreign). Inline — the exact
-  /// search's delete/undelete pair runs tens of millions of times per solve.
+  /// Dense-id variants (ids from plan(); never foreign). Inline — the
+  /// searches' delete/undelete pair runs once per node.
   double DeleteBase(uint32_t base) {
     assert(!IsDeletedBase(base));
     deleted_pos_[base] = static_cast<uint32_t>(deleted_.size());
     deleted_.push_back(base);
     deleted_stamp_[base] = epoch_;
-    if (bits_) {
-      return kernels_.DeleteBase(base, &touch_, &unkilled_deletions_,
-                                 &killed_preserved_weight_,
-                                 &surviving_deletion_weight_);
+    double newly_killed = 0.0;
+    uint32_t end = plan_->occ_end(base);
+    for (uint32_t slot = plan_->occ_begin(base); slot < end; ++slot) {
+      uint32_t wid = plan_->occ_witness(slot);
+      if (witness_hits_[wid]++ != 0) continue;  // witness was already dead
+      touch_.NoteWitness(wid);
+      uint32_t dense = plan_->occ_tuple(slot);
+      uint32_t dead = ++dead_witnesses_[dense];
+      if (dead == 1) touch_.NoteTuple(dense);
+      if (dead != plan_->tuple_witness_count(dense)) continue;
+      if (plan_->is_deletion(dense)) {
+        --unkilled_deletions_;
+        surviving_deletion_weight_ -= plan_->weight(dense);
+      } else {
+        killed_preserved_weight_ += plan_->weight(dense);
+        newly_killed += plan_->weight(dense);
+      }
     }
-    return DeleteBaseScalar(base);
+    return newly_killed;
   }
+  /// Reverse of DeleteBase. No touch logging: an undelete restores the
+  /// pristine value, and a later re-kill logs the tuple again.
   void UndeleteBase(uint32_t base) {
     assert(IsDeletedBase(base));
     uint32_t hole = deleted_pos_[base];
@@ -93,13 +142,20 @@ class DamageTracker {
     }
     deleted_.pop_back();
     deleted_stamp_[base] = 0;
-    if (bits_) {
-      kernels_.UndeleteBase(base, &unkilled_deletions_,
-                            &killed_preserved_weight_,
-                            &surviving_deletion_weight_);
-      return;
+    uint32_t end = plan_->occ_end(base);
+    for (uint32_t slot = plan_->occ_begin(base); slot < end; ++slot) {
+      if (--witness_hits_[plan_->occ_witness(slot)] != 0) continue;
+      uint32_t dense = plan_->occ_tuple(slot);
+      if (dead_witnesses_[dense]-- != plan_->tuple_witness_count(dense)) {
+        continue;  // the tuple was not killed
+      }
+      if (plan_->is_deletion(dense)) {
+        ++unkilled_deletions_;
+        surviving_deletion_weight_ += plan_->weight(dense);
+      } else {
+        killed_preserved_weight_ -= plan_->weight(dense);
+      }
     }
-    UndeleteBaseScalar(base);
   }
   bool IsDeletedBase(uint32_t base) const {
     return deleted_stamp_[base] == epoch_;
@@ -136,8 +192,34 @@ class DamageTracker {
   /// branch-and-bound entry prunes can run without mutating state. Inline:
   /// one call per exact-search node.
   double KpwAfterDeleteBase(uint32_t base) const {
-    if (bits_) return kernels_.KpwAfterDelete(base, killed_preserved_weight_);
-    return KpwAfterDeleteBaseScalar(base);
+    double acc = killed_preserved_weight_;
+    ForEachNewlyKilledPreserved(
+        base, [&](uint32_t dense) { acc += plan_->weight(dense); });
+    return acc;
+  }
+
+  /// Calls fn(dense) for every preserved tuple that deleting `base` would
+  /// newly kill, in ascending dense id — DeleteBase's own order, so callers
+  /// that add weights in fn reproduce its floating-point sums bit for bit.
+  /// A tuple is newly killed when it is still alive and each of its unhit
+  /// witnesses contains `base`. Visits nothing for a deleted `base`.
+  template <typename Fn>
+  void ForEachNewlyKilledPreserved(uint32_t base, Fn&& fn) const {
+    uint32_t slot = plan_->occ_begin(base);
+    uint32_t end = plan_->occ_end(base);
+    // Occurrence rows are sorted by view tuple; walk one run per tuple.
+    while (slot < end) {
+      uint32_t dense = plan_->occ_tuple(slot);
+      uint32_t fresh_dead = 0;
+      do {
+        if (witness_hits_[plan_->occ_witness(slot)] == 0) ++fresh_dead;
+        ++slot;
+      } while (slot < end && plan_->occ_tuple(slot) == dense);
+      if (plan_->is_deletion(dense)) continue;
+      uint32_t dead = dead_witnesses_[dense];
+      uint32_t total = plan_->tuple_witness_count(dense);
+      if (dead + fresh_dead == total && dead < total) fn(dense);
+    }
   }
 
   /// Number of ΔV tuples not yet killed.
@@ -155,53 +237,23 @@ class DamageTracker {
     return IsKilledDense(plan_->DenseOf(id));
   }
   bool IsKilledDense(uint32_t dense) const {
-    if (bits_) return kernels::TestBit(kstate_.killed_words.data(), dense);
     return dead_witnesses_[dense] == plan_->tuple_witness_count(dense);
   }
 
   /// Deleted-member count of witness `wid` (0 = the witness is alive).
-  uint32_t witness_hits(uint32_t wid) const {
-    if (bits_) return kernels_.WitnessHits(wid);
-    return witness_hits_[wid];
-  }
+  uint32_t witness_hits(uint32_t wid) const { return witness_hits_[wid]; }
 
   /// Dead-witness count of view tuple `dense` (== its witness count exactly
-  /// when the tuple is killed). Lets bounding code derive the number of
-  /// still-unhit witnesses without rescanning the witness row.
+  /// when the tuple is killed).
   uint32_t dead_witness_count(uint32_t dense) const {
-    if (bits_) return kernels_.DeadWitnessCount(dense);
     return dead_witnesses_[dense];
   }
-
-  /// Bit path only (bit_kernels_active()): alive-witness mask of `dense`
-  /// (bit j set ⇔ witness tuple_witness_begin(dense) + j is unhit). Pairs
-  /// with the plan's kill_witness_mask for word-level marginal tests in
-  /// bounding code (ilp_solver's pack charge walk).
-  uint64_t AliveMaskDense(uint32_t dense) const {
-    return kernels_.AliveMask(dense);
-  }
-
-  /// Branch pick for the exact search: the first witness — scanning unkilled
-  /// ΔV tuples ascending, then their unhit witnesses ascending — whose raw
-  /// member count equals the minimum over that whole scan, or
-  /// CompiledInstance::kNpos when every ΔV tuple is killed. The scalar path
-  /// runs that scan literally (with the legacy static-min early stop); the
-  /// bit path answers from a per-size witness-bitmask index in a few word
-  /// ANDs (kernels::KillKernels::SelectBranchWitness — equivalence argued
-  /// there). Non-const only because the bit path builds its index lazily.
-  uint32_t SelectBranchWitness();
 
   /// First still-unhit witness of `dense` in witness-id order, or
   /// CompiledInstance::kNpos when every witness is dead.
   uint32_t FirstUnhitWitness(uint32_t dense) const {
-    if (bits_) {
-      uint64_t la = kernels_.AliveMask(dense);
-      if (la == 0) return CompiledInstance::kNpos;
-      return plan_->tuple_witness_begin(dense) + kernels::Ctz64(la);
-    }
     uint32_t end = plan_->tuple_witness_end(dense);
     for (uint32_t w = plan_->tuple_witness_begin(dense); w < end; ++w) {
-      // delprop-lint: scalar-kill-loop-ok scalar fallback path
       if (witness_hits_[w] == 0) return w;
     }
     return CompiledInstance::kNpos;
@@ -211,45 +263,10 @@ class DamageTracker {
   /// fn returns false to stop early.
   template <typename Fn>
   void ForEachUnhitWitness(uint32_t dense, Fn&& fn) const {
-    if (bits_) {
-      uint32_t wb = plan_->tuple_witness_begin(dense);
-      uint64_t la = kernels_.AliveMask(dense);
-      while (la != 0) {
-        if (!fn(wb + kernels::Ctz64(la))) return;
-        la &= la - 1;
-      }
-      return;
-    }
     uint32_t end = plan_->tuple_witness_end(dense);
     for (uint32_t w = plan_->tuple_witness_begin(dense); w < end; ++w) {
-      // delprop-lint: scalar-kill-loop-ok scalar fallback path
       if (witness_hits_[w] != 0) continue;
       if (!fn(w)) return;
-    }
-  }
-
-  /// Calls fn(dense) for every not-yet-killed ΔV tuple, ascending (the
-  /// deletion_dense order). fn returns false to stop early. The bit path
-  /// scans deletion_words & ~killed_words one word at a time.
-  template <typename Fn>
-  void ForEachUnkilledDeletion(Fn&& fn) const {
-    if (bits_) {
-      const std::vector<uint64_t>& del = plan_->deletion_words();
-      const uint64_t* killed = kstate_.killed_words.data();
-      for (size_t i = 0; i < del.size(); ++i) {
-        uint64_t w = del[i] & ~killed[i];
-        while (w != 0) {
-          uint32_t dense =
-              static_cast<uint32_t>(i << 6) + kernels::Ctz64(w);
-          if (!fn(dense)) return;
-          w &= w - 1;
-        }
-      }
-      return;
-    }
-    for (uint32_t dense : plan_->deletion_dense()) {
-      if (IsKilledDense(dense)) continue;
-      if (!fn(dense)) return;
     }
   }
 
@@ -266,8 +283,8 @@ class DamageTracker {
   /// Reverts to the freshly-constructed state: restores the aggregate
   /// weights to their exact initial values (no floating-point drift from
   /// incremental rollback) and bumps the epoch so the deleted-stamp array
-  /// clears in O(1). The per-witness/per-tuple state rolls back sparsely —
-  /// O(touched) — when the touch log stayed under its caps, and falls back
+  /// clears in O(1). The per-witness/per-tuple counters roll back sparsely —
+  /// O(touched) — when the touch log stayed under its caps, and fall back
   /// to the O(‖V‖ + witnesses) full zeroing otherwise. Lets restart-style
   /// callers (local search) reuse one tracker cheaply.
   void Reset();
@@ -275,41 +292,25 @@ class DamageTracker {
   const CompiledInstance& plan() const { return *plan_; }
 
  private:
-  /// Binds/clears whichever state representation `want_bits` selects;
-  /// returns true when array storage was reused.
-  bool PrepareState(bool want_bits);
-  /// Rolls the active representation back to pristine (sparse when the
-  /// touch log allows), clears the log, and restamps `state_core_`.
+  /// Sizes the counter arrays for the bound plan; returns true when their
+  /// storage was reused.
+  bool PrepareState();
+  /// Rolls the counters back to pristine (sparse when the touch log
+  /// allows), clears the log, and restamps `state_core_`.
   void ClearState();
-  double DeleteBaseScalar(uint32_t base);
-  void UndeleteBaseScalar(uint32_t base);
-  double MarginalDamageBaseScalar(uint32_t base) const;
-  double KpwAfterDeleteBaseScalar(uint32_t base) const;
-  bool CanDropBaseScalar(uint32_t base) const;
-  bool SwapWouldImproveScalar(uint32_t base, const uint32_t* revived,
-                              uint32_t n, double budget) const;
 
   std::shared_ptr<const CompiledInstance> plan_;
 
-  // Which representation is live (chosen per plan in Rebind).
-  bool bits_ = false;
-  kernels::KillKernels kernels_;
-  kernels::KernelState kstate_;
-  // Scalar fallback state.
   // Per witness: number of deleted (unique) members.
   std::vector<uint32_t> witness_hits_;
-  // Per view tuple: number of dead witnesses.
+  // Per view tuple: number of dead witnesses. A tuple without witnesses is
+  // killed from the start (0 == 0).
   std::vector<uint32_t> dead_witnesses_;
-  // Transition log driving the sparse Reset/Rebind rollback (both paths).
-  kernels::TouchLog touch_;
+  // Transition log driving the sparse Reset/Rebind rollback.
+  TouchLog touch_;
   // Core whose layout the dirty state (and touch log) was produced under;
   // a sparse rollback is only sound against the same core.
   const void* state_core_ = nullptr;
-  // Tuples with an empty witness row are killed from the start (scalar:
-  // dead == total == 0); the bit path must seed their killed bits after
-  // every full clear. Cached per core; empty on every real workload.
-  std::vector<uint32_t> zero_witness_tuples_;
-  const void* zero_witness_core_ = nullptr;
 
   // Per base: stamp == epoch_ iff deleted; epoch bump clears all in O(1).
   std::vector<uint32_t> deleted_stamp_;

@@ -10,6 +10,33 @@
 namespace delprop {
 namespace {
 
+/// Branch pick for the standard search: the first witness — scanning
+/// unkilled ΔV tuples ascending, then their unhit witnesses ascending —
+/// whose raw member count equals the minimum over that whole scan, or
+/// CompiledInstance::kNpos when every ΔV tuple is killed. Raw member lists
+/// keep self-join duplicates, so node counts match the legacy search.
+uint32_t SelectBranchWitness(const DamageTracker& tracker) {
+  const CompiledInstance& plan = tracker.plan();
+  const uint32_t static_min = plan.min_witness_raw_members();
+  uint32_t best = CompiledInstance::kNpos;
+  uint32_t best_size = std::numeric_limits<uint32_t>::max();
+  for (uint32_t dense : plan.deletion_dense()) {
+    if (tracker.IsKilledDense(dense)) continue;
+    uint32_t wend = plan.tuple_witness_end(dense);
+    for (uint32_t w = plan.tuple_witness_begin(dense); w < wend; ++w) {
+      if (tracker.witness_hits(w) != 0) continue;
+      uint32_t size = plan.member_end(w) - plan.member_begin(w);
+      if (size < best_size) {
+        best = w;
+        best_size = size;
+      }
+      // Strict-< first-wins: nothing can displace a static-minimum witness.
+      if (best_size == static_min) return best;
+    }
+  }
+  return best;
+}
+
 // The searches borrow their tracker (freshly bound to the instance's plan)
 // so batched callers can hand in pooled storage; sequential callers pass a
 // local one.
@@ -62,17 +89,14 @@ class StandardSearch {
   }
 
   // Node body, entry checks already passed. Picks the unkilled ΔV tuple and
-  // unhit witness with the fewest raw members; branches on deleting each
-  // member. The pick is delegated to the tracker
-  // (DamageTracker::SelectBranchWitness), which mirrors the legacy scan
-  // exactly — same scan order, same strict-< first-min witness choice, raw
-  // member lists with duplicates. Child entry checks run here in legacy
+  // unhit witness with the fewest raw members (SelectBranchWitness);
+  // branches on deleting each member. Child entry checks run here in legacy
   // order (count node, budget cut, killed-weight prune) on the tracker's
   // bit-identical KpwAfterDeleteBase probe, so node counts, budget
   // boundaries, prune decisions, and frontier-cut values are all unchanged.
   void Expand() {
     const CompiledInstance& plan = tracker_.plan();
-    uint32_t branch_witness = tracker_.SelectBranchWitness();
+    uint32_t branch_witness = SelectBranchWitness(tracker_);
     if (branch_witness == CompiledInstance::kNpos) {
       // All ΔV tuples killed: feasible leaf, strictly better by the prune.
       best_cost_ = tracker_.killed_preserved_weight();

@@ -36,7 +36,7 @@ Result<VseSolution> GreedySolver::SolveWith(const VseInstance& instance,
     }
     uint32_t target_tuple = targets[cursor];
     // First unhit witness of the target (a witness is hit once any member is
-    // deleted) — one ctz on the alive mask under the bit kernels.
+    // deleted).
     uint32_t witness = tracker.FirstUnhitWitness(target_tuple);
     if (witness == CompiledInstance::kNpos) {
       return Status::Internal("unkilled deletion without an unhit witness");

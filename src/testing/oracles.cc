@@ -1,5 +1,6 @@
 #include "testing/oracles.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -13,8 +14,6 @@
 #include "solvers/damage_tracker.h"
 #include "solvers/exact_solver.h"
 #include "solvers/greedy_solver.h"
-#include "solvers/kill_kernels.h"
-#include "solvers/local_search_solver.h"
 #include "solvers/solver_registry.h"
 #include "testing/reference_eval.h"
 #include "tool/script.h"
@@ -362,101 +361,183 @@ void CheckPlanGreedyDifferential(const VseInstance& instance,
   }
 }
 
-/// bitset-vs-scalar: drives a scalar-pinned and a bitset-pinned
-/// DamageTracker through one deterministic op script — delete, marginal,
-/// drop-probe, undelete, reset, collect/swap probes — and demands bitwise
-/// equality on every return value, aggregate, and per-witness/per-tuple
-/// observation (== on doubles: the packed path promises byte-identity, not
-/// epsilon-closeness). Then re-runs the tracker-backed solvers under each
-/// pin and compares whole solutions. Plans whose witness fan-in exceeds one
-/// word only verify the bitset pin falls back to scalar.
-void CheckKernelDifferential(const VseInstance& instance,
-                             const OracleOptions& options,
-                             std::vector<OracleViolation>* out) {
+/// Kill state of a deleted-base set, recomputed from scratch from the
+/// plan's witness and member rows — no occurrence or kill rows, no
+/// incremental counters. Tuples are visited in ascending dense id.
+struct ReferenceKillState {
+  std::vector<uint32_t> hits;  // per witness: deleted unique members
+  std::vector<uint32_t> dead;  // per tuple: witnesses with a hit
+  size_t unkilled_deletions = 0;
+  double killed_preserved_weight = 0.0;
+  double surviving_deletion_weight = 0.0;
+
+  ReferenceKillState(const CompiledInstance& plan,
+                     const std::vector<uint8_t>& deleted)
+      : hits(plan.witness_count(), 0), dead(plan.tuple_count(), 0) {
+    std::vector<uint32_t> members;
+    for (uint32_t w = 0; w < plan.witness_count(); ++w) {
+      members.clear();
+      for (uint32_t slot = plan.member_begin(w); slot < plan.member_end(w);
+           ++slot) {
+        members.push_back(plan.member_base(slot));
+      }
+      std::sort(members.begin(), members.end());
+      members.erase(std::unique(members.begin(), members.end()),
+                    members.end());
+      for (uint32_t base : members) hits[w] += deleted[base];
+      if (hits[w] > 0) ++dead[plan.witness_owner(w)];
+    }
+    for (uint32_t t = 0; t < plan.tuple_count(); ++t) {
+      bool killed = dead[t] == plan.tuple_witness_count(t);
+      if (plan.is_deletion(t)) {
+        if (!killed) {
+          ++unkilled_deletions;
+          surviving_deletion_weight += plan.weight(t);
+        }
+      } else if (killed) {
+        killed_preserved_weight += plan.weight(t);
+      }
+    }
+  }
+
+  bool Killed(const CompiledInstance& plan, uint32_t t) const {
+    return dead[t] == plan.tuple_witness_count(t);
+  }
+};
+
+/// True iff some witness of tuple `t` lists `base` among its members.
+bool TupleHasMember(const CompiledInstance& plan, uint32_t t, uint32_t base) {
+  for (uint32_t w = plan.tuple_witness_begin(t); w < plan.tuple_witness_end(t);
+       ++w) {
+    for (uint32_t slot = plan.member_begin(w); slot < plan.member_end(w);
+         ++slot) {
+      if (plan.member_base(slot) == base) return true;
+    }
+  }
+  return false;
+}
+
+/// tracker-reference: drives a DamageTracker through one deterministic op
+/// script — delete, marginal, drop-probe, undelete, reset, collect/swap
+/// probes — and checks every return value and aggregate against a
+/// ReferenceKillState of the current deleted set. Counts and booleans must
+/// match exactly; doubles within `cost_epsilon`, since the reference sums
+/// from scratch where the tracker sums incrementally.
+void CheckTrackerReference(const VseInstance& instance,
+                           const OracleOptions& options,
+                           std::vector<OracleViolation>* out) {
   if (instance.TotalDeletionTuples() == 0) return;
-  std::shared_ptr<const CompiledInstance> plan = instance.compiled();
+  std::shared_ptr<const CompiledInstance> plan_ref = instance.compiled();
+  const CompiledInstance& plan = *plan_ref;
+  const double eps = options.cost_epsilon;
   auto mismatch = [&](const std::string& what) {
-    out->push_back({"kernel-differential:tracker", what});
+    out->push_back({"tracker-reference", what});
+  };
+  auto differ = [&](double a, double b) { return std::abs(a - b) > eps; };
+
+  DamageTracker tracker(instance);
+  std::vector<uint8_t> deleted(plan.base_count(), 0);
+  auto with = [&](uint32_t base, uint8_t flag) {
+    std::vector<uint8_t> changed = deleted;
+    changed[base] = flag;
+    return ReferenceKillState(plan, changed);
+  };
+  // Weight of the preserved tuples killed in `after` but not in `before`.
+  auto newly_killed = [&](const ReferenceKillState& before,
+                          const ReferenceKillState& after) {
+    double damage = 0.0;
+    for (uint32_t t = 0; t < plan.tuple_count(); ++t) {
+      if (!plan.is_deletion(t) && !before.Killed(plan, t) &&
+          after.Killed(plan, t)) {
+        damage += plan.weight(t);
+      }
+    }
+    return damage;
   };
 
-  std::optional<DamageTracker> scalar_opt;
-  std::optional<DamageTracker> bits_opt;
-  {
-    kernels::ScopedKernelOverride pin(kernels::KernelMode::kScalar);
-    scalar_opt.emplace(instance);
-  }
-  {
-    kernels::ScopedKernelOverride pin(kernels::KernelMode::kBitset);
-    bits_opt.emplace(instance);
-  }
-  DamageTracker& scalar = *scalar_opt;
-  DamageTracker& bits = *bits_opt;
-  if (scalar.bit_kernels_active()) {
-    mismatch("scalar pin ignored: tracker bound the bit kernels anyway");
-    return;
-  }
-  if (!plan->bits_supported()) {
-    if (bits.bit_kernels_active()) {
-      mismatch("bit kernels bound to an unsupported plan (fan-in " +
-               std::to_string(plan->max_witnesses_per_tuple()) + " > 64)");
-    }
-    return;  // scalar-only plan: nothing to differentiate
-  }
-  if (!bits.bit_kernels_active()) {
-    mismatch("bitset pin ignored on a supported plan");
-    return;
-  }
-
-  // Full-state comparison at phase boundaries; per-op checks stay O(1).
+  // Full-state comparison at phase boundaries.
   auto compare_state = [&](const char* phase) -> bool {
-    if (scalar.unkilled_deletion_count() != bits.unkilled_deletion_count() ||
-        scalar.killed_preserved_weight() != bits.killed_preserved_weight() ||
-        scalar.surviving_deletion_weight() !=
-            bits.surviving_deletion_weight()) {
-      mismatch(std::string(phase) + ": aggregates diverge (unkilled " +
-               std::to_string(scalar.unkilled_deletion_count()) + " vs " +
-               std::to_string(bits.unkilled_deletion_count()) + ", kpw " +
-               FormatCost(scalar.killed_preserved_weight()) + " vs " +
-               FormatCost(bits.killed_preserved_weight()) + ")");
+    ReferenceKillState ref(plan, deleted);
+    std::string where = std::string(phase) + ": ";
+    if (tracker.unkilled_deletion_count() != ref.unkilled_deletions ||
+        differ(tracker.killed_preserved_weight(),
+               ref.killed_preserved_weight) ||
+        differ(tracker.surviving_deletion_weight(),
+               ref.surviving_deletion_weight)) {
+      mismatch(where + "aggregates diverge (unkilled " +
+               std::to_string(tracker.unkilled_deletion_count()) + " vs " +
+               std::to_string(ref.unkilled_deletions) + ", kpw " +
+               FormatCost(tracker.killed_preserved_weight()) + " vs " +
+               FormatCost(ref.killed_preserved_weight) + ")");
       return false;
     }
-    for (uint32_t w = 0; w < plan->witness_count(); ++w) {
-      if (scalar.witness_hits(w) != bits.witness_hits(w)) {
-        mismatch(std::string(phase) + ": witness " + std::to_string(w) +
-                 " hits " + std::to_string(scalar.witness_hits(w)) + " vs " +
-                 std::to_string(bits.witness_hits(w)));
+    size_t deleted_count = 0;
+    for (uint32_t b = 0; b < plan.base_count(); ++b) {
+      deleted_count += deleted[b];
+      if (tracker.IsDeletedBase(b) != (deleted[b] != 0)) {
+        mismatch(where + "base " + std::to_string(b) + " deleted flag");
         return false;
       }
     }
-    for (uint32_t d = 0; d < plan->tuple_count(); ++d) {
-      if (scalar.IsKilledDense(d) != bits.IsKilledDense(d) ||
-          scalar.dead_witness_count(d) != bits.dead_witness_count(d) ||
-          scalar.FirstUnhitWitness(d) != bits.FirstUnhitWitness(d)) {
-        mismatch(std::string(phase) + ": tuple " + std::to_string(d) +
+    if (tracker.deleted_count() != deleted_count) {
+      mismatch(where + "deleted_count " +
+               std::to_string(tracker.deleted_count()) + " vs " +
+               std::to_string(deleted_count));
+      return false;
+    }
+    for (uint32_t w = 0; w < plan.witness_count(); ++w) {
+      if (tracker.witness_hits(w) != ref.hits[w]) {
+        mismatch(where + "witness " + std::to_string(w) + " hits " +
+                 std::to_string(tracker.witness_hits(w)) + " vs " +
+                 std::to_string(ref.hits[w]));
+        return false;
+      }
+    }
+    for (uint32_t d = 0; d < plan.tuple_count(); ++d) {
+      uint32_t first_unhit = CompiledInstance::kNpos;
+      for (uint32_t w = plan.tuple_witness_begin(d);
+           w < plan.tuple_witness_end(d); ++w) {
+        if (ref.hits[w] == 0) {
+          first_unhit = w;
+          break;
+        }
+      }
+      if (tracker.IsKilledDense(d) != ref.Killed(plan, d) ||
+          tracker.dead_witness_count(d) != ref.dead[d] ||
+          tracker.FirstUnhitWitness(d) != first_unhit) {
+        mismatch(where + "tuple " + std::to_string(d) +
                  " kill state diverges (killed " +
-                 std::to_string(scalar.IsKilledDense(d)) + " vs " +
-                 std::to_string(bits.IsKilledDense(d)) + ")");
+                 std::to_string(tracker.IsKilledDense(d)) + " vs " +
+                 std::to_string(ref.Killed(plan, d)) + ")");
         return false;
       }
     }
     return true;
   };
 
-  const std::vector<uint32_t>& candidates = plan->candidate_bases();
-  // Phase 1: delete every candidate, checking the marginal first.
+  const std::vector<uint32_t>& candidates = plan.candidate_bases();
+  // Phase 1: delete every candidate, checking the probes first.
   for (uint32_t base : candidates) {
-    double ms = scalar.MarginalDamageBase(base);
-    double mb = bits.MarginalDamageBase(base);
-    if (ms != mb) {
+    ReferenceKillState after = with(base, 1);
+    double expected = newly_killed(ReferenceKillState(plan, deleted), after);
+    double marginal = tracker.MarginalDamageBase(base);
+    if (differ(marginal, expected)) {
       mismatch("marginal of base " + std::to_string(base) + ": " +
-               FormatCost(ms) + " vs " + FormatCost(mb));
+               FormatCost(marginal) + " vs " + FormatCost(expected));
       return;
     }
-    double ds = scalar.DeleteBase(base);
-    double db = bits.DeleteBase(base);
-    if (ds != db) {
+    if (differ(tracker.KpwAfterDeleteBase(base),
+               after.killed_preserved_weight)) {
+      mismatch("KpwAfterDeleteBase(" + std::to_string(base) + "): " +
+               FormatCost(tracker.KpwAfterDeleteBase(base)) + " vs " +
+               FormatCost(after.killed_preserved_weight));
+      return;
+    }
+    double killed = tracker.DeleteBase(base);
+    deleted[base] = 1;
+    if (differ(killed, expected)) {
       mismatch("DeleteBase(" + std::to_string(base) + ") returned " +
-               FormatCost(ds) + " vs " + FormatCost(db));
+               FormatCost(killed) + " vs " + FormatCost(expected));
       return;
     }
   }
@@ -464,112 +545,96 @@ void CheckKernelDifferential(const VseInstance& instance,
 
   // Phase 2: droppability probes, then undelete every other candidate
   // (reverse order) so re-kill paths run against a mixed state.
+  ReferenceKillState all_deleted(plan, deleted);
   for (uint32_t base : candidates) {
-    if (scalar.CanDropBase(base) != bits.CanDropBase(base)) {
-      mismatch("CanDropBase(" + std::to_string(base) + ") diverges");
+    ReferenceKillState dropped = with(base, 0);
+    bool expected = true;
+    for (uint32_t t : plan.deletion_dense()) {
+      if (all_deleted.Killed(plan, t) && !dropped.Killed(plan, t)) {
+        expected = false;
+      }
+    }
+    if (tracker.CanDropBase(base) != expected) {
+      mismatch("CanDropBase(" + std::to_string(base) + ") returned " +
+               std::to_string(!expected));
       return;
     }
   }
   for (size_t i = candidates.size(); i-- > 0;) {
     if (i % 2 == 0) continue;
-    scalar.UndeleteBase(candidates[i]);
-    bits.UndeleteBase(candidates[i]);
+    tracker.UndeleteBase(candidates[i]);
+    deleted[candidates[i]] = 0;
   }
   if (!compare_state("half-undeleted")) return;
 
   // Phase 3: batch marginals over every candidate in the mixed state.
-  std::vector<double> batch_scalar;
-  std::vector<double> batch_bits;
-  scalar.MarginalDamageAll(candidates, &batch_scalar);
-  bits.MarginalDamageAll(candidates, &batch_bits);
-  if (batch_scalar != batch_bits) {
-    mismatch("MarginalDamageAll diverges in the mixed state");
-    return;
+  std::vector<double> batch;
+  tracker.MarginalDamageAll(candidates, &batch);
+  ReferenceKillState mixed(plan, deleted);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (differ(batch[i], newly_killed(mixed, with(candidates[i], 1)))) {
+      mismatch("MarginalDamageAll diverges at base " +
+               std::to_string(candidates[i]) + " in the mixed state");
+      return;
+    }
   }
 
-  // Phase 4: sparse reset must restore the pristine state on both paths.
-  scalar.Reset();
-  bits.Reset();
+  // Phase 4: reset must restore the pristine state.
+  tracker.Reset();
+  std::fill(deleted.begin(), deleted.end(), 0);
   if (!compare_state("after-reset")) return;
 
   // Phase 5: rebuild a feasible-ish state, then exercise the exchange
   // probes: undelete one base, collect its revived ΔV tuples, and ask every
   // candidate whether swapping it in would improve.
   for (uint32_t base : candidates) {
-    scalar.DeleteBase(base);
-    bits.DeleteBase(base);
+    tracker.DeleteBase(base);
+    deleted[base] = 1;
   }
-  std::vector<uint32_t> revived_scalar;
-  std::vector<uint32_t> revived_bits;
+  std::vector<uint32_t> revived;
   for (uint32_t base : candidates) {
-    scalar.UndeleteBase(base);
-    bits.UndeleteBase(base);
-    scalar.CollectUnkilledDeletions(base, &revived_scalar);
-    bits.CollectUnkilledDeletions(base, &revived_bits);
-    if (revived_scalar != revived_bits) {
+    tracker.UndeleteBase(base);
+    deleted[base] = 0;
+    ReferenceKillState now(plan, deleted);
+    std::vector<uint32_t> expected_revived;
+    for (uint32_t t : plan.deletion_dense()) {
+      if (!now.Killed(plan, t) && TupleHasMember(plan, t, base)) {
+        expected_revived.push_back(t);
+      }
+    }
+    tracker.CollectUnkilledDeletions(base, &revived);
+    if (revived != expected_revived) {
       mismatch("CollectUnkilledDeletions(" + std::to_string(base) +
-               ") diverges");
+               ") returned " + std::to_string(revived.size()) +
+               " tuple(s), reference " +
+               std::to_string(expected_revived.size()));
       return;
     }
-    double budget = scalar.killed_preserved_weight() + 1.0;
+    double budget = tracker.killed_preserved_weight() + 1.0;
     for (uint32_t in : candidates) {
-      if (scalar.IsDeletedBase(in)) continue;
-      if (scalar.SwapWouldImprove(in, revived_scalar, budget) !=
-          bits.SwapWouldImprove(in, revived_bits, budget)) {
+      if (deleted[in]) continue;
+      ReferenceKillState swapped = with(in, 1);
+      bool kills_all = true;
+      for (uint32_t t : revived) {
+        kills_all = kills_all && swapped.Killed(plan, t);
+      }
+      // A cost within epsilon of the budget has no well-defined answer.
+      if (kills_all && !differ(swapped.killed_preserved_weight, budget)) {
+        continue;
+      }
+      bool expected =
+          kills_all && swapped.killed_preserved_weight < budget;
+      if (tracker.SwapWouldImprove(in, revived, budget) != expected) {
         mismatch("SwapWouldImprove(" + std::to_string(in) + ", out=" +
-                 std::to_string(base) + ") diverges");
+                 std::to_string(base) + ") returned " +
+                 std::to_string(!expected));
         return;
       }
     }
-    scalar.DeleteBase(base);
-    bits.DeleteBase(base);
+    tracker.DeleteBase(base);
+    deleted[base] = 1;
   }
-  if (!compare_state("after-probes")) return;
-
-  // Solver-level A/B: whole solutions must be byte-identical under either
-  // pin. Exact search and the ILP ride the same candidate gate as the
-  // exact-optimum oracles.
-  auto compare_solver = [&](VseSolver& solver) {
-    std::optional<VseSolution> s;
-    std::optional<VseSolution> b;
-    {
-      kernels::ScopedKernelOverride pin(kernels::KernelMode::kScalar);
-      Result<VseSolution> result = solver.Solve(instance);
-      if (result.ok()) s = std::move(*result);
-    }
-    {
-      kernels::ScopedKernelOverride pin(kernels::KernelMode::kBitset);
-      Result<VseSolution> result = solver.Solve(instance);
-      if (result.ok()) b = std::move(*result);
-    }
-    if (s.has_value() != b.has_value()) {
-      out->push_back({"kernel-differential:" + solver.name(),
-                      "one kernel pin failed where the other succeeded"});
-      return;
-    }
-    if (!s.has_value()) return;
-    if (s->deletion.Sorted() != b->deletion.Sorted() ||
-        s->Cost() != b->Cost()) {
-      out->push_back({"kernel-differential:" + solver.name(),
-                      "solutions diverge: scalar |ΔD|=" +
-                          std::to_string(s->deletion.size()) + " cost " +
-                          FormatCost(s->Cost()) + ", bitset |ΔD|=" +
-                          std::to_string(b->deletion.size()) + " cost " +
-                          FormatCost(b->Cost())});
-    }
-  };
-  GreedySolver greedy;
-  compare_solver(greedy);
-  LocalSearchSolver local_search;
-  compare_solver(local_search);
-  if (instance.CandidateTuples().size() <= options.max_candidates_for_exact) {
-    ExactSolver exact(options.exact_node_budget);
-    compare_solver(exact);
-    IlpOptions ilp_options;
-    ilp_options.node_budget = options.exact_node_budget;
-    IlpSolver ilp(Objective::kStandard, ilp_options);
-    compare_solver(ilp);
-  }
+  compare_state("after-probes");
 }
 
 struct SolverOutcome {
@@ -628,20 +693,13 @@ SolverOutcome RunSolver(VseSolver& solver, const VseInstance& instance,
 std::vector<std::string> OracleNames() {
   return {"evaluator-crosscheck", "serialize-roundtrip",
           "plan-roundtrip",       "plan-greedy",
-          "kernel-differential",  "solver-error",
+          "tracker-reference",    "solver-error",
           "feasible",             "report-consistency",
           "cost-vs-exact",        "dp-tree-exact",
           "dp-tree-balanced-exact", "ratio-primal-dual",
           "ratio-lowdeg",         "ratio-claim1",
           "balanced-cost-vs-exact", "ilp-vs-exact",
           "ilp-bound-sandwich"};
-}
-
-std::vector<OracleViolation> CheckKernelOracle(const VseInstance& instance,
-                                               const OracleOptions& options) {
-  std::vector<OracleViolation> violations;
-  CheckKernelDifferential(instance, options, &violations);
-  return violations;
 }
 
 std::vector<OracleViolation> CheckOracles(const VseInstance& instance,
@@ -654,7 +712,7 @@ std::vector<OracleViolation> CheckOracles(const VseInstance& instance,
   }
   CheckPlanRoundTrip(instance, &violations);
   CheckPlanGreedyDifferential(instance, &violations);
-  CheckKernelDifferential(instance, options, &violations);
+  CheckTrackerReference(instance, options, &violations);
 
   // Every approximation solver must produce a feasible, internally consistent
   // solution whether or not the exact optimum is computable.

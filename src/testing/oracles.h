@@ -61,10 +61,9 @@ std::vector<std::string> OracleNames();
 ///  * plan-greedy — GreedySolver on the compiled plan returns a deletion set
 ///    byte-identical to the same algorithm replayed with DeletionSet +
 ///    lineage recomputation and no dense ids;
-///  * kernel-differential — a scalar-pinned and a bitset-pinned
-///    DamageTracker agree bitwise on every delete/undelete/marginal/probe
-///    in a deterministic op script, and the tracker-backed solvers return
-///    byte-identical solutions under either kernel pin;
+///  * tracker-reference — a DamageTracker driven through a deterministic
+///    delete/undelete/marginal/probe/reset script answers every query as a
+///    from-scratch recomputation over the plan's witness rows does;
 ///  * solver-error:<s> — a solver failed with an unexpected status code
 ///    (FailedPrecondition refusals and budget exhaustion are expected);
 ///  * feasible:<s> — a standard-objective solution does not eliminate ΔV
@@ -81,13 +80,6 @@ std::vector<std::string> OracleNames();
 ///    optimum.
 std::vector<OracleViolation> CheckOracles(const VseInstance& instance,
                                           const OracleOptions& options = {});
-
-/// Runs only the `kernel-differential` oracle — the scalar-vs-bitset
-/// lockstep over trackers and tracker-backed solvers. Backs the fast
-/// `delprop_fuzz --kernels` sweep (tier-1 `kernel_smoke`), which covers many
-/// seeds without paying for the exponential oracles.
-std::vector<OracleViolation> CheckKernelOracle(const VseInstance& instance,
-                                               const OracleOptions& options = {});
 
 }  // namespace testing
 }  // namespace delprop

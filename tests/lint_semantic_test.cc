@@ -275,67 +275,6 @@ TEST(HotPathAllocationTest, SuppressionCommentSilencesFinding) {
   EXPECT_TRUE(diags.empty());
 }
 
-// === scalar-kill-loop ===
-
-TEST(ScalarKillLoopTest, FlagsCounterWalkInHotLoop) {
-  std::vector<Diagnostic> diags = RunSemanticRule(
-      std::make_unique<ScalarKillLoopRule>(),
-      {{"src/solvers/t.cc", R"(
-        double DamageTracker::Walk(uint32_t base) const {
-          double sum = 0.0;
-          for (uint32_t slot = begin; slot < end; ++slot) {
-            if (witness_hits_[slot] == 0) sum += 1.0;
-          }
-          return sum;
-        }
-      )"}});
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].rule, "scalar-kill-loop");
-  EXPECT_NE(diags[0].message.find("reached via"), std::string::npos);
-}
-
-TEST(ScalarKillLoopTest, FlagsAccessorCallInSingleStatementLoop) {
-  // `while (...) stmt;` — no braces; the statement is still inside the loop.
-  std::vector<Diagnostic> diags = RunSemanticRule(
-      std::make_unique<ScalarKillLoopRule>(),
-      {{"src/solvers/t.cc", R"(
-        void DamageTracker::Scan(uint32_t w) const {
-          while (w < end) w += tracker.witness_hits(w);
-        }
-      )"}});
-  ASSERT_EQ(diags.size(), 1u);
-}
-
-TEST(ScalarKillLoopTest, NonLoopUseAndColdFunctionsPass) {
-  std::vector<Diagnostic> diags = RunSemanticRule(
-      std::make_unique<ScalarKillLoopRule>(),
-      {{"src/solvers/t.cc", R"(
-        uint32_t DamageTracker::One(uint32_t w) const {
-          return witness_hits_[w];
-        }
-        void ColdDump(const DamageTracker& t) {
-          for (uint32_t w = 0; w < n; ++w) Print(t.witness_hits(w));
-        }
-      )"}});
-  EXPECT_TRUE(diags.empty());
-}
-
-TEST(ScalarKillLoopTest, SuppressionCommentSilencesFinding) {
-  std::vector<Diagnostic> diags = RunSemanticRule(
-      std::make_unique<ScalarKillLoopRule>(),
-      {{"src/solvers/t.cc", R"(
-        double DamageTracker::WalkScalar(uint32_t base) const {
-          double sum = 0.0;
-          for (uint32_t slot = begin; slot < end; ++slot) {
-            // delprop-lint: scalar-kill-loop-ok scalar fallback path
-            if (witness_hits_[slot] == 0) sum += 1.0;
-          }
-          return sum;
-        }
-      )"}});
-  EXPECT_TRUE(diags.empty());
-}
-
 // === shared-core-mutation ===
 
 TEST(SharedCoreMutationTest, FlagsFieldWriteOutsideMutationPoints) {

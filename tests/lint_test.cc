@@ -356,7 +356,7 @@ TEST(HeaderGuardTest, IgnoresNonHeaders) {
 TEST(LinterTest, DefaultRulesAreRegisteredAndFilterable) {
   Linter all;
   all.AddDefaultRules();
-  EXPECT_EQ(all.RuleNames().size(), 10u);
+  EXPECT_EQ(all.RuleNames().size(), 9u);
   Linter subset;
   subset.AddDefaultRules({"header-guard"});
   EXPECT_EQ(subset.RuleNames(),

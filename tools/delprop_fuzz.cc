@@ -5,7 +5,6 @@
 //   delprop_fuzz --replay tests/corpus/pivot_forest_minimal.delprop
 //   delprop_fuzz --mutate --iterations 500 [--steps N] [--patch-threshold F]
 //   delprop_fuzz --ilp-gaps --iterations 25
-//   delprop_fuzz --kernels --seed-start 1 --iterations 500 [--threads N]
 //
 // Fuzz mode generates one instance per seed across the workload families,
 // runs every differential oracle, and on violation shrinks the instance to a
@@ -13,9 +12,7 @@
 // byte-identical at any --threads value. Replay mode reruns the oracles over
 // saved repro/corpus files. Mutate mode drives random ApplyDelta scripts
 // against live instances and checks every step against a full rebuild (the
-// mutate-vs-rebuild oracle, see docs/incremental.md). Kernels mode runs only
-// the scalar-vs-bitset kernel-differential oracle, which makes wide seed
-// sweeps cheap (docs/perf.md "Bit-parallel kill kernels").
+// mutate-vs-rebuild oracle, see docs/incremental.md).
 //
 // Exit status: 0 all oracles hold, 1 violations found, 2 usage or I/O error.
 #include <cstdio>
@@ -46,9 +43,8 @@ int Usage(const char* argv0) {
       "       %s --replay FILE...\n"
       "       %s --mutate [--seed-start N] [--iterations N] [--threads N]\n"
       "          [--steps N] [--patch-threshold F]\n"
-      "       %s --ilp-gaps [--iterations N]\n"
-      "       %s --kernels [--seed-start N] [--iterations N] [--threads N]\n",
-      argv0, argv0, argv0, argv0, argv0);
+      "       %s --ilp-gaps [--iterations N]\n",
+      argv0, argv0, argv0, argv0);
   return 2;
 }
 
@@ -178,58 +174,6 @@ int RunIlpGaps(size_t iterations) {
   return bad > 0 ? 1 : 0;
 }
 
-/// --kernels: bounded scalar-vs-bitset sweep. Every seed's instance goes
-/// through the kernel-differential oracle only (tracker lockstep + solver
-/// solution identity under both kernel pins), so hundreds of seeds finish in
-/// seconds. Results are accumulated per seed slot and printed in seed order —
-/// the report is byte-identical at any --threads value.
-/// Exit status: 0 all seeds agree, 1 divergence found, 2 generation error.
-int RunKernels(uint64_t seed_start, size_t iterations,
-               delprop::ThreadPool* pool) {
-  using delprop::testing::OracleViolation;
-
-  struct SeedResult {
-    std::string error;  // generation failure, fatal
-    std::vector<OracleViolation> violations;
-  };
-  std::vector<SeedResult> results(iterations);
-  delprop::ParallelFor(pool, iterations, [&](size_t i) {
-    SeedResult& slot = results[i];
-    delprop::Result<delprop::testing::FuzzCase> generated =
-        delprop::testing::GenerateFuzzCase(seed_start + i);
-    if (!generated.ok()) {
-      slot.error = generated.status().ToString();
-      return;
-    }
-    slot.violations =
-        delprop::testing::CheckKernelOracle(*generated->generated.instance);
-  });
-
-  size_t cases = 0;
-  size_t bad = 0;
-  for (size_t i = 0; i < iterations; ++i) {
-    const SeedResult& slot = results[i];
-    const uint64_t seed = seed_start + i;
-    if (!slot.error.empty()) {
-      std::fprintf(stderr, "seed %llu: %s\n",
-                   static_cast<unsigned long long>(seed), slot.error.c_str());
-      return 2;
-    }
-    ++cases;
-    if (slot.violations.empty()) continue;
-    ++bad;
-    std::printf("seed %llu: %zu divergence(s)\n",
-                static_cast<unsigned long long>(seed),
-                slot.violations.size());
-    for (const OracleViolation& violation : slot.violations) {
-      std::printf("  %s: %s\n", violation.oracle.c_str(),
-                  violation.detail.c_str());
-    }
-  }
-  std::printf("kernels: %zu case(s), %zu divergence(s)\n", cases, bad);
-  return bad > 0 ? 1 : 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -245,7 +189,6 @@ int main(int argc, char** argv) {
   bool replay_mode = false;
   bool mutate_mode = false;
   bool ilp_gaps_mode = false;
-  bool kernels_mode = false;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -258,8 +201,6 @@ int main(int argc, char** argv) {
       mutate_mode = true;
     } else if (arg == "--ilp-gaps") {
       ilp_gaps_mode = true;
-    } else if (arg == "--kernels") {
-      kernels_mode = true;
     } else if (replay_mode && !arg.empty() && arg[0] != '-') {
       replay_files.push_back(arg);
     } else if (arg == "--steps") {
@@ -298,13 +239,6 @@ int main(int argc, char** argv) {
   }
 
   if (ilp_gaps_mode) return RunIlpGaps(options.iterations);
-
-  if (kernels_mode) {
-    std::unique_ptr<ThreadPool> kernel_pool;
-    if (threads > 1) kernel_pool = std::make_unique<ThreadPool>(threads);
-    return RunKernels(options.seed_start, options.iterations,
-                      kernel_pool.get());
-  }
 
   if (replay_mode) {
     if (replay_files.empty()) return Usage(argv[0]);
