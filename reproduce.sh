@@ -92,13 +92,18 @@ if [ "${DELPROP_SKIP_SANITIZE:-0}" != "1" ]; then
   ctest --test-dir build-asan --output-on-failure 2>&1 \
     | tee test_output_asan.txt
 
-  # ThreadSanitizer pass over the concurrent substrate: the runtime tests
-  # plus the multi-threaded solver-comparison bench. A data race in the
-  # thread pool or the shared index cache fails this step even though the
-  # plain build is green.
+  # ThreadSanitizer pass over the concurrent substrate: the runtime tests,
+  # the multi-threaded solver-comparison bench, and the batch engine tests
+  # (the memo cache, with its FIFO eviction, is the only state the engine's
+  # workers share). A data race in the thread pool, the shared index cache
+  # or the memo fails this step even though the plain build is green.
   cmake -B build-tsan -G Ninja -DDELPROP_SANITIZE=thread
-  cmake --build build-tsan --target runtime_test bench_solver_comparison
+  cmake --build build-tsan --target runtime_test bench_solver_comparison \
+    engine_test engine_determinism_test
   ./build-tsan/tests/runtime_test 2>&1 | tee test_output_tsan.txt
   ./build-tsan/bench/bench_solver_comparison --threads 4 2>&1 \
+    | tee -a test_output_tsan.txt
+  ./build-tsan/tests/engine_test 2>&1 | tee -a test_output_tsan.txt
+  ./build-tsan/tests/engine_determinism_test 2>&1 \
     | tee -a test_output_tsan.txt
 fi

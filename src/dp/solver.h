@@ -50,9 +50,28 @@ class VseSolver {
 };
 
 /// Builds a VseSolution for `deletion` (evaluates side effects, stamps the
-/// solver name). Used by every solver's final step.
+/// solver name). Used by every solver's final step, and by the engine's
+/// memo cache to rebuild a hit's answer from the stored ΔD. The report is
+/// built from the request: only ΔV and the kill rows of ΔD's bases are
+/// checked, so the cost grows with the request, not the instance. It equals
+/// EvaluateDeletion's full scan field for field, doubles bit for bit.
 VseSolution MakeSolution(const VseInstance& instance, DeletionSet deletion,
                          std::string solver_name);
+
+namespace internal {
+
+/// How MakeSolution's report puts its candidates in ascending order: by
+/// sorting them, or by sweeping per-tuple marks. kAuto (what MakeSolution
+/// uses) picks by the request's size against the instance's; the oracles
+/// force each way, so both stay checked against EvaluateDeletion.
+enum class CandidateOrder { kAuto, kSort, kSweep };
+
+/// The side-effect report MakeSolution attaches to `deletion`.
+SideEffectReport RequestReport(const VseInstance& instance,
+                               const DeletionSet& deletion,
+                               CandidateOrder order);
+
+}  // namespace internal
 
 }  // namespace delprop
 

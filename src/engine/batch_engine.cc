@@ -15,7 +15,8 @@ namespace delprop {
 /// (mutable ΔV over the shared plan core), pooled solver scratch, the
 /// solvers it has constructed so far (std::map: deterministic iteration is
 /// irrelevant here, but lookups are off the hot path and the key set is
-/// tiny), a ΔV normalization buffer, and its share of the engine counters.
+/// tiny), a ΔV normalization buffer, the decision a memo hit copied out,
+/// and its share of the engine counters.
 struct BatchSolveEngine::Worker {
   explicit Worker(VseInstance replica_in) { replica.emplace(std::move(replica_in)); }
 
@@ -26,6 +27,9 @@ struct BatchSolveEngine::Worker {
   ScratchPool scratch;
   std::map<std::string, std::unique_ptr<VseSolver>> solvers;
   std::vector<ViewTupleId> dv_buffer;
+  /// A hit's decision, copied out under the cache lock: another worker may
+  /// evict the entry as soon as the lock is released.
+  Decision hit;
 
   size_t requests = 0;
   size_t cache_hits = 0;
@@ -99,17 +103,21 @@ void BatchSolveEngine::Process(Worker& worker, const SolveRequest& request,
         std::unique(worker.dv_buffer.begin(), worker.dv_buffer.end()),
         worker.dv_buffer.end());
 
+    bool hit = false;
     if (options_.memo_cache) {
       // Heterogeneous probe: no CacheKey (string + vector copies) is
       // constructed on the hit path — or on the miss path; the owned key is
-      // built once, at insertion after the solve.
+      // built once, at insertion after the solve. A hit copies the decision
+      // into worker-owned buffers (capacity reused across requests).
       std::lock_guard<std::mutex> lock(cache_mu_);
-      auto hit = cache_.find(CacheKeyView{request.solver, worker.dv_buffer});
-      if (hit != cache_.end()) {
-        ++worker.cache_hits;
-        outcome->stats.cache_hit = true;
-        outcome->result = hit->second;
-        break;
+      auto found = cache_.find(CacheKeyView{request.solver, worker.dv_buffer});
+      if (found != cache_.end()) {
+        hit = true;
+        worker.hit.status = found->second.status;
+        worker.hit.deletion.assign(found->second.deletion.begin(),
+                                   found->second.deletion.end());
+        worker.hit.solver_name = found->second.solver_name;
+        worker.hit.gap = found->second.gap;
       }
     }
 
@@ -126,8 +134,23 @@ void BatchSolveEngine::Process(Worker& worker, const SolveRequest& request,
 
     PlanBuildStats plan_before = worker.replica->plan_stats();
     ScratchPool::Stats scratch_before = worker.scratch.stats();
-    outcome->result = solver->SolveWith(*worker.replica, &worker.scratch);
-    ++worker.solver_runs;
+    if (hit) {
+      // Rebuild the answer exactly as the solver's final step built it.
+      ++worker.cache_hits;
+      outcome->stats.cache_hit = true;
+      if (!worker.hit.status.ok()) {
+        outcome->result = worker.hit.status;
+      } else {
+        VseSolution solution =
+            MakeSolution(*worker.replica, DeletionSet(worker.hit.deletion),
+                         worker.hit.solver_name);
+        solution.gap = worker.hit.gap;
+        outcome->result = std::move(solution);
+      }
+    } else {
+      outcome->result = solver->SolveWith(*worker.replica, &worker.scratch);
+      ++worker.solver_runs;
+    }
     PlanBuildStats plan_after = worker.replica->plan_stats();
     ScratchPool::Stats scratch_after = worker.scratch.stats();
     outcome->stats.plan_core_reused =
@@ -138,18 +161,49 @@ void BatchSolveEngine::Process(Worker& worker, const SolveRequest& request,
         scratch_after.tracker_reuses > scratch_before.tracker_reuses &&
         scratch_after.tracker_allocs == scratch_before.tracker_allocs;
 
-    if (options_.memo_cache) {
-      CacheKey key{request.solver, worker.dv_buffer};
-      std::lock_guard<std::mutex> lock(cache_mu_);
-      // Two workers may race on the same fresh key; both computed the same
-      // deterministic result, so first-in wins and the duplicate is dropped.
-      cache_.emplace(std::move(key), outcome->result);
+    if (options_.memo_cache && !hit) {
+      Memoize(request.solver, worker.dv_buffer, outcome->result);
     }
   } while (false);
   outcome->stats.wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - start)
           .count();
+}
+
+// Memo insertion: builds the owned key and the stored decision, once per
+// solve and after it; the allocations are the entry's own storage.
+// delprop-hot-stop
+void BatchSolveEngine::Memoize(const std::string& solver,
+                               const std::vector<ViewTupleId>& delta_v,
+                               const Result<VseSolution>& result) {
+  Decision decision;
+  if (result.ok()) {
+    decision.deletion = result->deletion.Sorted();
+    decision.solver_name = result->solver_name;
+    decision.gap = result->gap;
+  } else {
+    decision.status = result.status();
+  }
+  size_t bytes = kEntryOverheadBytes + sizeof(ViewTupleId) * delta_v.size() +
+                 sizeof(TupleRef) * decision.deletion.size();
+  if (bytes > options_.memo_cache_bytes) return;
+  decision.bytes = bytes;
+  CacheKey key{solver, delta_v};
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  // Two workers may race on the same fresh key; both computed the same
+  // deterministic decision, so first-in wins and the duplicate is dropped.
+  auto [it, inserted] = cache_.emplace(std::move(key), std::move(decision));
+  if (!inserted) return;
+  cache_fifo_.push_back(&it->first);
+  cache_bytes_ += bytes;
+  while (cache_bytes_ > options_.memo_cache_bytes) {
+    auto oldest = cache_.find(*cache_fifo_.front());
+    cache_fifo_.pop_front();
+    cache_bytes_ -= oldest->second.bytes;
+    cache_.erase(oldest);
+    ++cache_evictions_;
+  }
 }
 
 std::vector<RequestOutcome> BatchSolveEngine::SolveBatch(
@@ -191,6 +245,9 @@ EngineStats BatchSolveEngine::stats() const {
     total.plan_overlay_recycles += plan.overlay_recycles;
   }
   total.deltas_applied = deltas_applied_;
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  total.cache_evictions = cache_evictions_;
+  total.cache_bytes = cache_bytes_;
   return total;
 }
 
@@ -217,9 +274,11 @@ Status BatchSolveEngine::ApplyDelta(Database& database, const BaseDelta& delta,
   if (applied.ok()) {
     ++core_epoch_;
     ++deltas_applied_;
-    // Memoized results were computed against the old base data.
+    // Memoized decisions were made against the old base data.
     std::lock_guard<std::mutex> lock(cache_mu_);
+    cache_fifo_.clear();
     cache_.clear();
+    cache_bytes_ = 0;
   }
   return applied;
 }

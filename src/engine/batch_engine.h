@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -67,6 +68,10 @@ struct EngineStats {
   size_t plan_overlay_recycles = 0;
   /// Base-data deltas applied through BatchSolveEngine::ApplyDelta.
   size_t deltas_applied = 0;
+  /// Memo entries dropped to stay within Options::memo_cache_bytes.
+  size_t cache_evictions = 0;
+  /// Bytes the memo's live entries are charged (see memo_cache_bytes).
+  size_t cache_bytes = 0;
 };
 
 /// Executes batches of SolveRequests against ONE instance, amortizing
@@ -79,15 +84,20 @@ struct EngineStats {
 ///   * each worker owns a ScratchPool whose single DamageTracker is rebound
 ///     (epoch-stamped reset) instead of reallocated per request;
 ///   * solvers are constructed once per (worker, name) and reused;
-///   * an optional memo cache returns the stored result for an identical
-///     (solver, normalized ΔV) pair without re-solving.
+///   * an optional memo cache stores the decision for each (solver,
+///     normalized ΔV) pair: the status, ΔD, solver name and optimality gap.
+///     A hit skips the solver but swaps ΔV like a miss (the overlay rebuild
+///     into recycled buffers) and rebuilds the answer's report with
+///     MakeSolution, so hits and misses build reports the same way. The
+///     memo is capped in bytes and evicts in insertion order.
 /// After each worker's first request (warmup), the greedy hot path performs
 /// no steady-state allocations — asserted by tests via the counters above.
 ///
 /// Results are deterministic: outcome i is solved against the same replica
 /// state regardless of which worker claims it, so the outcome vector is
-/// byte-identical at any `threads` setting and with the cache on or off
-/// (RequestStats, which record scheduling provenance, are exempt).
+/// byte-identical at any `threads` setting, with the cache on or off, and
+/// at any memo budget (RequestStats, which record scheduling provenance,
+/// are exempt; so are which entries are evicted and which requests hit).
 ///
 /// Live base data: ApplyDelta (below) mutates the primary instance between
 /// batches and atomically re-replicates every worker from the updated
@@ -99,8 +109,14 @@ class BatchSolveEngine {
   struct Options {
     /// Worker replicas; > 1 also spins up an internal ThreadPool.
     size_t threads = 1;
-    /// Memoize (solver, ΔV) → result across the engine's lifetime.
+    /// Memoize (solver, ΔV) → decision (status, ΔD, solver name, gap)
+    /// until the next successful ApplyDelta; hits rebuild the report.
     bool memo_cache = true;
+    /// Memory budget of the memo. Each entry is charged a fixed overhead
+    /// plus 16 B per ΔV tuple in its key and 8 B per ΔD tuple; past the
+    /// budget the oldest entries are evicted first. An entry larger than
+    /// the whole budget is not stored, so 0 caches nothing.
+    size_t memo_cache_bytes = size_t{64} << 20;
   };
 
   /// The engine keeps a pointer to `instance` (the primary): SolveBatch only
@@ -125,8 +141,8 @@ class BatchSolveEngine {
   /// sole owner of the shared view structure, so VseInstance::ApplyDelta
   /// mutates in place instead of detaching a copy), then applies the delta,
   /// recompiles the primary's plan once, and re-replicates. On success the
-  /// core-epoch advances and the memo cache is cleared (cached results were
-  /// computed against the old base data). On validation failure the primary
+  /// core-epoch advances and the memo cache is cleared (cached decisions
+  /// were made against the old base data). On validation failure the primary
   /// is untouched and the epoch keeps its value, but replicas are rebuilt
   /// either way.
   Status ApplyDelta(Database& database, const BaseDelta& delta,
@@ -174,9 +190,27 @@ class BatchSolveEngine {
       return a.solver == b.solver && a.delta_v == b.delta_v;
     }
   };
+  /// What a solve decided; the report is rebuilt from it on every hit.
+  struct Decision {
+    Status status;                   // not ok: the solve's error
+    std::vector<TupleRef> deletion;  // ΔD, sorted
+    std::string solver_name;
+    OptimalityGap gap;
+    size_t bytes = 0;  // charged against memo_cache_bytes
+  };
+  /// What a memo entry costs besides its two id lists: the key and the
+  /// decision, the hash node's link and cached hash, its bucket slot, its
+  /// FIFO slot, and allocator headers for the node and both lists.
+  static constexpr size_t kEntryOverheadBytes =
+      sizeof(CacheKey) + sizeof(Decision) + 4 * sizeof(void*) + 3 * 16;
 
   void Process(Worker& worker, const SolveRequest& request,
                RequestOutcome* outcome);
+  /// Stores the decision behind `result` under (solver, delta_v), then
+  /// evicts the oldest entries until the memo fits its byte budget.
+  void Memoize(const std::string& solver,
+               const std::vector<ViewTupleId>& delta_v,
+               const Result<VseSolution>& result);
 
   Options options_;
   VseInstance* primary_ = nullptr;
@@ -185,9 +219,14 @@ class BatchSolveEngine {
   uint64_t core_epoch_ = 0;
   size_t deltas_applied_ = 0;
 
-  std::mutex cache_mu_;
-  std::unordered_map<CacheKey, Result<VseSolution>, CacheKeyHash, CacheKeyEq>
-      cache_;
+  mutable std::mutex cache_mu_;
+  std::unordered_map<CacheKey, Decision, CacheKeyHash, CacheKeyEq> cache_;
+  /// Keys of cache_ in insertion order, oldest first. unordered_map keeps
+  /// element addresses across rehashing, so the pointers stay valid until
+  /// their entry is erased.
+  std::deque<const CacheKey*> cache_fifo_;
+  size_t cache_bytes_ = 0;
+  size_t cache_evictions_ = 0;
 };
 
 }  // namespace delprop

@@ -46,8 +46,8 @@ Result<BalancedToPnpscMapping> ReduceBalancedToPnpsc(
     uint32_t begin = plan->kill_begin(base);
     uint32_t end = plan->kill_end(base);
     // Count first: the positive/negative lists partition the kill row and
-    // are retained in the mapping for the whole solve. Branchless bit tests
-    // against the ΔV word overlay.
+    // are retained in the mapping for the whole solve. The count reads the
+    // overlay's per-tuple ΔV marks.
     uint32_t positive_count = plan->KillRowDeletionCount(base);
     set.positives.reserve(positive_count);
     set.negatives.reserve((end - begin) - positive_count);

@@ -43,8 +43,8 @@ Result<VseToRbscMapping> ReduceVseToRbsc(const VseInstance& instance) {
     uint32_t begin = plan->kill_begin(base);
     uint32_t end = plan->kill_end(base);
     // Count first: the set's blue/red lists partition its kill row, and
-    // both are retained in the mapping for the whole solve. Branchless bit
-    // tests against the ΔV word overlay.
+    // both are retained in the mapping for the whole solve. The count reads
+    // the overlay's per-tuple ΔV marks.
     uint32_t blue_count = plan->KillRowDeletionCount(base);
     set.blues.reserve(blue_count);
     set.reds.reserve((end - begin) - blue_count);

@@ -26,8 +26,8 @@ Result<VseSolution> SourceSideEffectSolver::Solve(
     uint32_t begin = plan->kill_begin(base);
     uint32_t end = plan->kill_end(base);
     // Count first so the per-set vector is sized exactly — these lists are
-    // retained for the whole set-cover run. Branchless bit tests against
-    // the ΔV word overlay.
+    // retained for the whole set-cover run. The count reads the overlay's
+    // per-tuple ΔV marks.
     size_t deletions = plan->KillRowDeletionCount(base);
     std::vector<size_t> elements;
     elements.reserve(deletions);

@@ -1,7 +1,9 @@
 #include "testing/oracles.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -648,7 +650,6 @@ struct SolverOutcome {
 /// false. Budget exhaustion WITH an incumbent comes back ok with
 /// gap.optimal == false — callers needing a proven optimum must check it.
 SolverOutcome RunSolver(VseSolver& solver, const VseInstance& instance,
-                        const OracleOptions& options,
                         std::vector<OracleViolation>* out) {
   SolverOutcome outcome;
   Result<VseSolution> result = solver.Solve(instance);
@@ -662,22 +663,25 @@ SolverOutcome RunSolver(VseSolver& solver, const VseInstance& instance,
   outcome.ran = true;
   outcome.solution = std::move(*result);
 
-  // The report must be reproducible from the deletion set alone.
-  SideEffectReport recomputed =
-      EvaluateDeletion(instance, outcome.solution.deletion);
+  // The report must be reproducible from the deletion set alone, exactly:
+  // MakeSolution builds it from the request, EvaluateDeletion by a full
+  // scan, and both must add the same weights in the same order. Both ways
+  // of ordering the request's candidates are checked, whichever one
+  // MakeSolution picked for this request.
   const SideEffectReport& reported = outcome.solution.report;
-  if (recomputed.eliminates_all_deletions !=
-          reported.eliminates_all_deletions ||
-      std::abs(recomputed.side_effect_weight - reported.side_effect_weight) >
-          options.cost_epsilon ||
-      std::abs(recomputed.balanced_cost - reported.balanced_cost) >
-          options.cost_epsilon) {
-    out->push_back(
-        {"report-consistency:" + solver.name(),
-         "reported cost " + FormatCost(reported.side_effect_weight) +
-             " / balanced " + FormatCost(reported.balanced_cost) +
-             " vs recomputed " + FormatCost(recomputed.side_effect_weight) +
-             " / " + FormatCost(recomputed.balanced_cost)});
+  const DeletionSet& deletion = outcome.solution.deletion;
+  const SideEffectReport full = EvaluateDeletion(instance, deletion);
+  std::string difference = ReportDifference(full, reported);
+  for (auto [order, label] :
+       {std::pair{internal::CandidateOrder::kSort, "sorted candidates: "},
+        std::pair{internal::CandidateOrder::kSweep, "swept candidates: "}}) {
+    if (!difference.empty()) break;
+    difference = ReportDifference(
+        full, internal::RequestReport(instance, deletion, order));
+    if (!difference.empty()) difference = label + difference;
+  }
+  if (!difference.empty()) {
+    out->push_back({"report-consistency:" + solver.name(), difference});
   }
   if (solver.objective() == Objective::kStandard &&
       !outcome.solution.Feasible()) {
@@ -689,6 +693,75 @@ SolverOutcome RunSolver(VseSolver& solver, const VseInstance& instance,
 }
 
 }  // namespace
+
+std::string ReportDifference(const SideEffectReport& expected,
+                             const SideEffectReport& actual) {
+  auto ids = [](const std::vector<ViewTupleId>& list) {
+    std::string text = std::to_string(list.size()) + " [";
+    for (size_t i = 0; i < list.size(); ++i) {
+      text += (i == 0 ? "" : " ") + std::to_string(list[i].view) + ":" +
+              std::to_string(list[i].tuple);
+    }
+    return text + "]";
+  };
+  auto counts = [](const std::vector<size_t>& list) {
+    std::string text = "[";
+    for (size_t i = 0; i < list.size(); ++i) {
+      text += (i == 0 ? "" : " ") + std::to_string(list[i]);
+    }
+    return text + "]";
+  };
+  auto bits = [](double value) {
+    std::ostringstream out;
+    out.precision(17);
+    out << value << " (0x" << std::hex << std::bit_cast<uint64_t>(value)
+        << ")";
+    return out.str();
+  };
+  auto differ = [](const std::string& field, const std::string& want,
+                   const std::string& got) {
+    return field + ": expected " + want + ", got " + got;
+  };
+  if (expected.eliminates_all_deletions != actual.eliminates_all_deletions) {
+    return differ("eliminates_all_deletions",
+                  std::to_string(expected.eliminates_all_deletions),
+                  std::to_string(actual.eliminates_all_deletions));
+  }
+  if (expected.killed_preserved != actual.killed_preserved) {
+    return differ("killed_preserved", ids(expected.killed_preserved),
+                  ids(actual.killed_preserved));
+  }
+  if (expected.surviving_deletions != actual.surviving_deletions) {
+    return differ("surviving_deletions", ids(expected.surviving_deletions),
+                  ids(actual.surviving_deletions));
+  }
+  if (expected.side_effect_count != actual.side_effect_count) {
+    return differ("side_effect_count",
+                  std::to_string(expected.side_effect_count),
+                  std::to_string(actual.side_effect_count));
+  }
+  if (std::bit_cast<uint64_t>(expected.side_effect_weight) !=
+      std::bit_cast<uint64_t>(actual.side_effect_weight)) {
+    return differ("side_effect_weight", bits(expected.side_effect_weight),
+                  bits(actual.side_effect_weight));
+  }
+  if (expected.per_view_side_effect != actual.per_view_side_effect) {
+    return differ("per_view_side_effect",
+                  counts(expected.per_view_side_effect),
+                  counts(actual.per_view_side_effect));
+  }
+  if (std::bit_cast<uint64_t>(expected.balanced_cost) !=
+      std::bit_cast<uint64_t>(actual.balanced_cost)) {
+    return differ("balanced_cost", bits(expected.balanced_cost),
+                  bits(actual.balanced_cost));
+  }
+  if (expected.source_deletion_count != actual.source_deletion_count) {
+    return differ("source_deletion_count",
+                  std::to_string(expected.source_deletion_count),
+                  std::to_string(actual.source_deletion_count));
+  }
+  return "";
+}
 
 std::vector<std::string> OracleNames() {
   return {"evaluator-crosscheck", "serialize-roundtrip",
@@ -721,7 +794,7 @@ std::vector<OracleViolation> CheckOracles(const VseInstance& instance,
   std::vector<SolverOutcome> outcomes;
   outcomes.reserve(approximations.size());
   for (const auto& solver : approximations) {
-    outcomes.push_back(RunSolver(*solver, instance, options, &violations));
+    outcomes.push_back(RunSolver(*solver, instance, &violations));
   }
 
   // Exact-optimum-based oracles, gated on instance size.
@@ -729,7 +802,7 @@ std::vector<OracleViolation> CheckOracles(const VseInstance& instance,
     return violations;
   }
   ExactSolver exact(options.exact_node_budget);
-  SolverOutcome optimal = RunSolver(exact, instance, options, &violations);
+  SolverOutcome optimal = RunSolver(exact, instance, &violations);
   // Budget exhaustion now returns the incumbent with gap.optimal == false;
   // only a proven optimum may anchor the OPT-based oracles.
   const bool have_opt = optimal.ran && optimal.solution.gap.optimal;
@@ -739,7 +812,7 @@ std::vector<OracleViolation> CheckOracles(const VseInstance& instance,
   IlpOptions ilp_options;
   ilp_options.node_budget = options.exact_node_budget;
   IlpSolver ilp_solver(Objective::kStandard, ilp_options);
-  SolverOutcome ilp = RunSolver(ilp_solver, instance, options, &violations);
+  SolverOutcome ilp = RunSolver(ilp_solver, instance, &violations);
   if (ilp.ran) {
     const OptimalityGap& gap = ilp.solution.gap;
     // The certificate itself must be coherent before anything leans on it.
@@ -872,13 +945,12 @@ std::vector<OracleViolation> CheckOracles(const VseInstance& instance,
   // Balanced objective: Algorithm 4's balanced variant must match the exact
   // balanced optimum, and the pnpsc heuristic must not beat it.
   ExactBalancedSolver exact_balanced(options.exact_node_budget);
-  SolverOutcome balanced_opt =
-      RunSolver(exact_balanced, instance, options, &violations);
+  SolverOutcome balanced_opt = RunSolver(exact_balanced, instance, &violations);
   const bool have_balanced_opt =
       balanced_opt.ran && balanced_opt.solution.gap.optimal;
   IlpSolver ilp_balanced_solver(Objective::kBalanced, ilp_options);
   SolverOutcome ilp_balanced =
-      RunSolver(ilp_balanced_solver, instance, options, &violations);
+      RunSolver(ilp_balanced_solver, instance, &violations);
   if (ilp_balanced.ran) {
     const OptimalityGap& gap = ilp_balanced.solution.gap;
     double cost = ilp_balanced.solution.BalancedCost();
@@ -907,7 +979,7 @@ std::vector<OracleViolation> CheckOracles(const VseInstance& instance,
   if (have_balanced_opt) {
     double opt = balanced_opt.solution.BalancedCost();
     std::unique_ptr<VseSolver> dp_balanced = MakeSolver("dp-tree-balanced");
-    SolverOutcome dp = RunSolver(*dp_balanced, instance, options, &violations);
+    SolverOutcome dp = RunSolver(*dp_balanced, instance, &violations);
     if (dp.ran &&
         std::abs(dp.solution.BalancedCost() - opt) > options.cost_epsilon) {
       violations.push_back(
@@ -917,8 +989,7 @@ std::vector<OracleViolation> CheckOracles(const VseInstance& instance,
                " != exact balanced optimum " + FormatCost(opt)});
     }
     std::unique_ptr<VseSolver> pnpsc = MakeSolver("balanced-pnpsc");
-    SolverOutcome heuristic =
-        RunSolver(*pnpsc, instance, options, &violations);
+    SolverOutcome heuristic = RunSolver(*pnpsc, instance, &violations);
     if (heuristic.ran &&
         heuristic.solution.BalancedCost() < opt - options.cost_epsilon) {
       violations.push_back(

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "dp/side_effect.h"
 #include "dp/vse_instance.h"
 
 namespace delprop {
@@ -68,8 +69,9 @@ std::vector<std::string> OracleNames();
 ///    (FailedPrecondition refusals and budget exhaustion are expected);
 ///  * feasible:<s> — a standard-objective solution does not eliminate ΔV
 ///    (these instances are always feasible: every candidate is deletable);
-///  * report-consistency:<s> — a solution's report disagrees with
-///    EvaluateDeletion re-run on its deletion set;
+///  * report-consistency:<s> — a solution's report differs from
+///    EvaluateDeletion re-run on its deletion set in any field: id lists
+///    and counts exactly, doubles bit for bit (ReportDifference);
 ///  * cost-vs-exact:<s> — an approximation beat the exact optimum;
 ///  * dp-tree-exact / dp-tree-balanced-exact — Algorithm 4 must match the
 ///    exact solver on pivot forests, for both objectives;
@@ -80,6 +82,13 @@ std::vector<std::string> OracleNames();
 ///    optimum.
 std::vector<OracleViolation> CheckOracles(const VseInstance& instance,
                                           const OracleOptions& options = {});
+
+/// The first field in which `actual` differs from `expected`, with both
+/// values, or "" when the reports are identical. Every field is compared
+/// exactly: id lists in order, counts, and doubles bit for bit (an equal
+/// value reached by adding in another order is a difference).
+std::string ReportDifference(const SideEffectReport& expected,
+                             const SideEffectReport& actual);
 
 }  // namespace testing
 }  // namespace delprop

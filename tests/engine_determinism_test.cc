@@ -1,14 +1,17 @@
 // Engine determinism sweep (slow): every checked-in corpus instance and 200
-// fuzz-generated instances go through BatchSolveEngine at --threads 1 vs 4
-// and with the memo cache on vs off; the rendered outcome vectors must be
-// byte-identical. This is the batched-serving analogue of the fuzz engine's
-// thread-count-invariance contract: scheduling and caching may only change
-// wall-clock, never results.
+// fuzz-generated instances go through BatchSolveEngine at --threads 1 vs 4,
+// with the memo cache on vs off, and under a memo budget small enough to
+// evict; the rendered outcome vectors must be byte-identical. This is the
+// batched-serving analogue of the fuzz engine's thread-count-invariance
+// contract: scheduling and caching may only change wall-clock, never
+// results. A hit's report is rebuilt from the stored decision, so the
+// rendering covers the report and the gap, not only the cost.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,8 +35,16 @@ std::string Render(const Result<VseSolution>& result) {
         << result.status().message();
     return out.str();
   }
-  out << result->solver_name << " feasible=" << result->Feasible()
-      << " cost=" << result->Cost() << " deletion=";
+  const OptimalityGap& gap = result->gap;
+  out << std::setprecision(17) << result->solver_name
+      << " feasible=" << result->Feasible() << " cost=" << result->Cost()
+      << " balanced=" << result->BalancedCost() << " killed=";
+  for (const ViewTupleId& id : result->report.killed_preserved) {
+    out << "(" << id.view << "," << id.tuple << ")";
+  }
+  out << " gap=" << gap.has_bound << gap.optimal << gap.deadline_hit
+      << gap.budget_hit << "/" << gap.lower_bound << "/" << gap.upper_bound
+      << "/" << gap.nodes << " deletion=";
   for (const TupleRef& ref : result->deletion.Sorted()) {
     out << "(" << ref.relation << "," << ref.row << ")";
   }
@@ -99,6 +110,16 @@ void ExpectInvariant(VseInstance& instance, uint64_t seed) {
   BatchSolveEngine engine_plain(instance, no_cache);
   EXPECT_EQ(baseline, RenderAll(engine_plain.SolveBatch(requests)))
       << "memo cache changed batch results";
+
+  // Every request's entry costs a few hundred bytes, so at least four
+  // distinct keys (one per solver) overflow 1 KiB.
+  BatchSolveEngine::Options evicting;
+  evicting.threads = 4;
+  evicting.memo_cache_bytes = 1024;
+  BatchSolveEngine engine_evicting(instance, evicting);
+  EXPECT_EQ(baseline, RenderAll(engine_evicting.SolveBatch(requests)))
+      << "memo eviction changed batch results";
+  EXPECT_GT(engine_evicting.stats().cache_evictions, 0u);
 }
 
 TEST(EngineDeterminismTest, CorpusInstances) {

@@ -5,6 +5,7 @@
 // "allocation-free" without an allocator hook).
 #include <gtest/gtest.h>
 
+#include <iomanip>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -55,7 +56,8 @@ std::vector<ViewTupleId> MakeDeltaV(const std::vector<ViewTupleId>& all,
 }
 
 // Renders everything the determinism contract covers (and nothing the
-// scheduling-dependent RequestStats cover).
+// scheduling-dependent RequestStats cover): the whole report, in order, and
+// the optimality gap, doubles to the last bit.
 std::string Render(const Result<VseSolution>& result) {
   std::ostringstream out;
   if (!result.ok()) {
@@ -63,8 +65,25 @@ std::string Render(const Result<VseSolution>& result) {
         << result.status().message();
     return out.str();
   }
-  out << result->solver_name << " feasible=" << result->Feasible()
-      << " cost=" << result->Cost() << " deletion=";
+  const SideEffectReport& report = result->report;
+  out << std::setprecision(17) << result->solver_name
+      << " feasible=" << result->Feasible() << " cost=" << result->Cost()
+      << " balanced=" << report.balanced_cost
+      << " count=" << report.side_effect_count
+      << " sources=" << report.source_deletion_count << " killed=";
+  for (const ViewTupleId& id : report.killed_preserved) {
+    out << "(" << id.view << "," << id.tuple << ")";
+  }
+  out << " surviving=";
+  for (const ViewTupleId& id : report.surviving_deletions) {
+    out << "(" << id.view << "," << id.tuple << ")";
+  }
+  out << " per_view=";
+  for (size_t count : report.per_view_side_effect) out << count << ",";
+  const OptimalityGap& gap = result->gap;
+  out << " gap=" << gap.has_bound << gap.optimal << gap.deadline_hit
+      << gap.budget_hit << "/" << gap.lower_bound << "/" << gap.upper_bound
+      << "/" << gap.nodes << " deletion=";
   for (const TupleRef& ref : result->deletion.Sorted()) {
     out << "(" << ref.relation << "," << ref.row << ")";
   }
@@ -190,6 +209,100 @@ TEST(BatchEngineTest, MemoCacheChangesNothingButSkipsSolves) {
   EXPECT_EQ(engine_plain.stats().solver_runs, 16u);
 }
 
+// The memo stores decisions and rebuilds every hit's report, so no budget
+// may change an outcome: memo off, a budget that stores nothing, one small
+// enough to evict, and the default all render identically (gaps included,
+// through "exact"), at one worker and at four.
+TEST(BatchEngineTest, MemoBudgetChangesNoOutcome) {
+  GeneratedVse generated = MakeWorkload();
+  std::vector<SolveRequest> requests =
+      MakeRequests(*generated.instance, 24, "greedy");
+  for (size_t i = 0; i < requests.size(); i += 4) {
+    requests[i].solver = "exact";
+  }
+  for (size_t i = 2; i < requests.size(); i += 4) {
+    requests[i].solver = "local-search";
+  }
+  for (size_t i = 0; i < 12; ++i) requests.push_back(requests[i]);
+
+  BatchSolveEngine::Options off;
+  off.threads = 1;
+  off.memo_cache = false;
+  BatchSolveEngine baseline_engine(*generated.instance, off);
+  std::string baseline = RenderAll(baseline_engine.SolveBatch(requests));
+
+  for (size_t threads : {1, 4}) {
+    for (size_t bytes : {size_t{0}, size_t{2048}, size_t{64} << 20}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " bytes=" + std::to_string(bytes));
+      BatchSolveEngine::Options options;
+      options.threads = threads;
+      options.memo_cache_bytes = bytes;
+      BatchSolveEngine engine(*generated.instance, options);
+      EXPECT_EQ(RenderAll(engine.SolveBatch(requests)), baseline);
+      EngineStats stats = engine.stats();
+      EXPECT_LE(stats.cache_bytes, bytes);
+      if (bytes == 0) {
+        EXPECT_EQ(stats.cache_hits, 0u);
+        EXPECT_EQ(stats.cache_bytes, 0u);
+      } else if (bytes == 2048) {
+        EXPECT_GT(stats.cache_evictions, 0u);
+      } else {
+        EXPECT_EQ(stats.cache_evictions, 0u);
+        EXPECT_GT(stats.cache_hits, 0u);
+      }
+    }
+    BatchSolveEngine::Options plain;
+    plain.threads = threads;
+    plain.memo_cache = false;
+    BatchSolveEngine engine(*generated.instance, plain);
+    EXPECT_EQ(RenderAll(engine.SolveBatch(requests)), baseline);
+  }
+}
+
+// At one worker eviction order is pinned: oldest first. Entry sizes are
+// read off cache_bytes, and the budget holds the three newest of five.
+TEST(BatchEngineTest, MemoEvictsInInsertionOrder) {
+  GeneratedVse generated = MakeWorkload();
+  std::vector<SolveRequest> requests =
+      MakeRequests(*generated.instance, 5, "greedy");
+
+  BatchSolveEngine::Options measure;
+  measure.threads = 1;
+  BatchSolveEngine sizing(*generated.instance, measure);
+  std::vector<size_t> entry_bytes;
+  for (const SolveRequest& request : requests) {
+    size_t before = sizing.stats().cache_bytes;
+    (void)sizing.SolveBatch({request});
+    entry_bytes.push_back(sizing.stats().cache_bytes - before);
+  }
+
+  BatchSolveEngine::Options options;
+  options.threads = 1;
+  options.memo_cache_bytes = entry_bytes[2] + entry_bytes[3] + entry_bytes[4];
+  BatchSolveEngine engine(*generated.instance, options);
+  (void)engine.SolveBatch(requests);
+  EXPECT_EQ(engine.stats().solver_runs, 5u);
+  EXPECT_EQ(engine.stats().cache_evictions, 2u);
+  EXPECT_EQ(engine.stats().cache_bytes, options.memo_cache_bytes);
+
+  // The retained keys hit ...
+  for (size_t i : {2, 3, 4}) {
+    SCOPED_TRACE(i);
+    std::vector<RequestOutcome> repeat = engine.SolveBatch({requests[i]});
+    EXPECT_TRUE(repeat[0].stats.cache_hit);
+    EXPECT_EQ(engine.stats().solver_runs, 5u);
+  }
+  // ... and the evicted ones are solved again.
+  for (size_t i : {0, 1}) {
+    SCOPED_TRACE(i);
+    size_t runs = engine.stats().solver_runs;
+    std::vector<RequestOutcome> repeat = engine.SolveBatch({requests[i]});
+    EXPECT_FALSE(repeat[0].stats.cache_hit);
+    EXPECT_EQ(engine.stats().solver_runs, runs + 1);
+  }
+}
+
 // The "zero steady-state allocations" contract, expressed in counters: after
 // the first request warms the worker, every further request reuses the
 // pooled tracker storage (no tracker alloc), rebuilds only the ΔV overlay
@@ -230,11 +343,12 @@ TEST(BatchEngineTest, SteadyStateRunsOnReusedStorage) {
   }
 }
 
-// Same contract with the memo cache ON: probes must not disturb the reuse
-// counters — cache-hit requests skip the solve entirely (no overlay rebuild,
-// no scratch acquire), and every miss still runs on recycled storage. The
-// heterogeneous cache probe means hits and misses alike build no owned key
-// on the lookup path; the counters pin the visible half of that contract.
+// Same contract with the memo cache ON: cache-hit requests skip the solver
+// (no scratch acquire), but like every miss they swap ΔV and rebuild the
+// overlay into recycled buffers, because the hit's report is rebuilt from
+// the stored ΔD over that overlay. The heterogeneous cache probe means hits
+// and misses alike build no owned key on the lookup path; the counters pin
+// the visible half of that contract.
 TEST(BatchEngineTest, SteadyStateRunsOnReusedStorageWithMemoCache) {
   GeneratedVse generated = MakeWorkload();
   std::vector<SolveRequest> requests =
@@ -254,14 +368,15 @@ TEST(BatchEngineTest, SteadyStateRunsOnReusedStorageWithMemoCache) {
   EXPECT_EQ(stats.requests, 20u);
   EXPECT_EQ(stats.cache_hits, 8u);
   EXPECT_EQ(stats.solver_runs, 12u);
-  // Only the 12 misses touch the solve path; each acquires the one pooled
-  // tracker and rebuilds only the ΔV overlay over the shared core.
+  // Only the 12 misses acquire the one pooled tracker. All 20 requests
+  // rebuild only the ΔV overlay over the shared core; the first cannot
+  // recycle, since its retired plan is still shared with the primary.
   EXPECT_EQ(stats.scratch_acquires, 12u);
   EXPECT_EQ(stats.scratch_allocs, 1u);
   EXPECT_EQ(stats.scratch_reuses, 11u);
   EXPECT_EQ(stats.plan_full_builds, 0u);
-  EXPECT_EQ(stats.plan_core_rebinds, 12u);
-  EXPECT_EQ(stats.plan_overlay_recycles, 11u);
+  EXPECT_EQ(stats.plan_core_rebinds, 20u);
+  EXPECT_EQ(stats.plan_overlay_recycles, 19u);
 }
 
 TEST(BatchEngineTest, InvalidRequestsFailAloneWithoutAbortingTheBatch) {
