@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -23,6 +24,19 @@ struct VectorHash {
     std::hash<T> h;
     for (const T& x : v) HashCombine(seed, h(x));
     return seed;
+  }
+};
+
+/// Transparent string hash: an unordered container keyed by std::string
+/// with this hash and std::equal_to<> looks up a std::string_view without
+/// building a temporary string. std::hash<std::string_view> and
+/// std::hash<std::string> agree on the same characters, so switching a
+/// container to it leaves its bucket order unchanged. (Not noexcept, so
+/// libstdc++ keeps caching each node's hash, as it does for std::string.)
+struct StringHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view text) const {
+    return std::hash<std::string_view>()(text);
   }
 };
 

@@ -596,8 +596,12 @@ Status VseInstance::SetWeight(const ViewTupleId& id, double weight) {
   if (id.view >= view_count() || id.tuple >= view(id.view).size()) {
     return Status::OutOfRange("view tuple id out of range");
   }
-  if (weight < 0.0) {
-    return Status::InvalidArgument("weights must be non-negative");
+  // Written so that NaN fails too: every comparison with NaN is false.
+  // -0.0 and +inf pass.
+  if (!(weight >= 0.0)) {
+    return Status::InvalidArgument("weight of " + RenderViewTuple(id) +
+                                   " must be a non-negative number, got " +
+                                   std::to_string(weight));
   }
   weights_[id] = weight;
   // Weights live in the plan core; patch it instead of discarding it — a

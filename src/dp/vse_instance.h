@@ -206,7 +206,8 @@ class VseInstance {
   /// objective also uses weights of ΔV tuples. The compiled plan's core is
   /// patched in place (or cloned when replicas share it) instead of being
   /// rebuilt — `plan_stats()` counts these as weight_patches/core_clones,
-  /// never as full_builds.
+  /// never as full_builds. A negative or NaN weight fails with
+  /// InvalidArgument naming the view tuple; -0.0 and +inf are accepted.
   Status SetWeight(const ViewTupleId& id, double weight);
 
   const Database& database() const { return *database_; }

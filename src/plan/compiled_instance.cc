@@ -1,6 +1,7 @@
 #include "plan/compiled_instance.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "query/view.h"
 
@@ -143,9 +144,31 @@ std::shared_ptr<const PlanCore> BuildCore(const VseInstance& instance) {
     }
   }
 
-  // Witness CSR + raw member refs; intern base refs in sorted order.
+  // Base interning through a row table: one slot per database row, laid out
+  // in (relation, row) order by the prefix offsets `row_first`. The
+  // witness-counting walk marks each member's slot; one pass over the table
+  // in order then hands out ascending base ids — ascending TupleRef order,
+  // exactly the ids a sort of all members would assign — and the member-row
+  // pass reads each id back from its slot. O(members + database rows), with
+  // no sort and no search. Witness refs are in range: ValidateWitnesses
+  // checks them at creation and ApplyDelta appends only validated rows.
+  const Database& database = instance.database();
+  size_t relation_count = database.relation_count();
+  std::vector<size_t> row_first(relation_count + 1, 0);
+  for (RelationId r = 0; r < relation_count; ++r) {
+    row_first[r + 1] = row_first[r] + database.relation(r).row_count();
+  }
+  std::vector<uint32_t> base_of_row(row_first[relation_count],
+                                   CompiledInstance::kNpos);
+  auto slot_of = [&](const TupleRef& ref) -> uint32_t& {
+    assert(ref.relation < relation_count &&
+           ref.row < row_first[ref.relation + 1] - row_first[ref.relation]);
+    return base_of_row[row_first[ref.relation] + ref.row];
+  };
+
+  // Witness CSR sizes; mark every member's row.
   core->tuple_witness_first.resize(tuple_count + 1);
-  std::vector<TupleRef> all_refs;
+  uint32_t base_count = 0;
   {
     uint32_t wid = 0;
     size_t member_total = 0;
@@ -157,6 +180,13 @@ std::shared_ptr<const PlanCore> BuildCore(const VseInstance& instance) {
         for (const Witness& witness : view.tuple(t).witnesses) {
           ++wid;
           member_total += witness.size();
+          for (const TupleRef& ref : witness) {
+            uint32_t& slot = slot_of(ref);
+            if (slot == CompiledInstance::kNpos) {
+              slot = 0;
+              ++base_count;
+            }
+          }
         }
       }
     }
@@ -164,25 +194,16 @@ std::shared_ptr<const PlanCore> BuildCore(const VseInstance& instance) {
     core->witness_owner.resize(wid);
     core->witness_member_first.resize(static_cast<size_t>(wid) + 1);
     core->witness_member_base.reserve(member_total);
-    all_refs.reserve(member_total);
   }
-  for (size_t v = 0; v < view_count; ++v) {
-    const View& view = instance.view(v);
-    for (size_t t = 0; t < view.size(); ++t) {
-      for (const Witness& witness : view.tuple(t).witnesses) {
-        for (const TupleRef& ref : witness) all_refs.push_back(ref);
-      }
+  core->base_refs.reserve(base_count);
+  for (RelationId r = 0; r < relation_count; ++r) {
+    for (size_t i = row_first[r]; i < row_first[r + 1]; ++i) {
+      if (base_of_row[i] == CompiledInstance::kNpos) continue;
+      base_of_row[i] = static_cast<uint32_t>(core->base_refs.size());
+      uint32_t row = static_cast<uint32_t>(i - row_first[r]);
+      core->base_refs.push_back(TupleRef{r, row});
     }
   }
-  std::sort(all_refs.begin(), all_refs.end());
-  all_refs.erase(std::unique(all_refs.begin(), all_refs.end()),
-                 all_refs.end());
-  core->base_refs = std::move(all_refs);
-  auto find_base = [core](const TupleRef& ref) {
-    auto it = std::lower_bound(core->base_refs.begin(), core->base_refs.end(),
-                               ref);
-    return static_cast<uint32_t>(it - core->base_refs.begin());
-  };
 
   // Member rows (raw, atom order).
   {
@@ -196,7 +217,7 @@ std::shared_ptr<const PlanCore> BuildCore(const VseInstance& instance) {
           core->witness_owner[wid] = d;
           core->witness_member_first[wid] = member_slot;
           for (const TupleRef& ref : witness) {
-            core->witness_member_base.push_back(find_base(ref));
+            core->witness_member_base.push_back(slot_of(ref));
             ++member_slot;
           }
           ++wid;

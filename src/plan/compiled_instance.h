@@ -89,7 +89,9 @@ struct CoreDelta {
 ///     every per-view scan;
 ///   * witnesses: per view tuple, in `ViewTuple::witnesses` order;
 ///   * base tuples: ascending TupleRef — the order of `CandidateTuples()`
-///     and of `DeletionSet::Sorted()`.
+///     and of `DeletionSet::Sorted()`. A from-scratch build hands them out
+///     in one pass over a table with a slot per database row, so it costs
+///     O(witness members + database rows) and sorts nothing.
 ///
 /// Witness member rows keep the RAW atom-order member list including
 /// duplicate refs from self-joins: the greedy/exact/local-search tie-break
@@ -124,10 +126,9 @@ class CompiledInstance {
   /// removed tuples/witnesses in `delta` are dropped, appended ones are read
   /// from `instance`'s (already mutated) views, and every derived array
   /// (remapped ids, merged base refs, occurrence and kill rows) is rebuilt
-  /// in linear passes — no per-member hashing and no global ref sort, the
-  /// two costs that dominate a from-scratch build. The result is
-  /// byte-identical to BuildCore over the mutated instance (property-tested
-  /// by the mutate-vs-rebuild oracle).
+  /// in linear passes over the old core and the delta, with no pass over
+  /// the database. The result is byte-identical to BuildCore over the
+  /// mutated instance (property-tested by the mutate-vs-rebuild oracle).
   static std::shared_ptr<const PlanCore> PatchCore(const PlanCore& old_core,
                                                    const VseInstance& instance,
                                                    const CoreDelta& delta);

@@ -2,15 +2,44 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
+
 namespace delprop {
 
+namespace {
+
+// Smallest table RehashVariables ever allocates.
+constexpr size_t kMinVarSlots = 8;
+
+}  // namespace
+
 VarId ConjunctiveQuery::AddVariable(std::string_view var_name) {
-  auto it = var_ids_.find(std::string(var_name));
-  if (it != var_ids_.end()) return it->second;
+  // Grow before probing, so the probed slot can take a new name.
+  if (2 * (var_names_.size() + 1) > var_slots_.size()) {
+    RehashVariables(var_names_.size() + 1);
+  }
+  size_t mask = var_slots_.size() - 1;
+  size_t slot = StringHash()(var_name) & mask;
+  while (var_slots_[slot] != kNoVar) {
+    if (var_names_[var_slots_[slot]] == var_name) return var_slots_[slot];
+    slot = (slot + 1) & mask;
+  }
   VarId id = static_cast<VarId>(var_names_.size());
   var_names_.emplace_back(var_name);
-  var_ids_.emplace(std::string(var_name), id);
+  var_slots_[slot] = id;
   return id;
+}
+
+void ConjunctiveQuery::RehashVariables(size_t size) {
+  size_t capacity = kMinVarSlots;
+  while (capacity < 2 * size) capacity *= 2;
+  var_slots_.assign(capacity, kNoVar);
+  size_t mask = capacity - 1;
+  for (VarId id = 0; id < var_names_.size(); ++id) {
+    size_t slot = StringHash()(var_names_[id]) & mask;
+    while (var_slots_[slot] != kNoVar) slot = (slot + 1) & mask;
+    var_slots_[slot] = id;
+  }
 }
 
 Status ConjunctiveQuery::Validate(const Schema& schema) const {

@@ -1,9 +1,9 @@
 #ifndef DELPROP_QUERY_CONJUNCTIVE_QUERY_H_
 #define DELPROP_QUERY_CONJUNCTIVE_QUERY_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -22,7 +22,8 @@ class ConjunctiveQuery {
   /// AddAtom, then Validate.
   explicit ConjunctiveQuery(std::string name) : name_(std::move(name)) {}
 
-  /// Registers (or finds) a variable by name and returns its id.
+  /// Registers (or finds) a variable by name and returns its id. The name
+  /// is copied once, when first seen.
   VarId AddVariable(std::string_view var_name);
 
   /// Appends a term to the head.
@@ -55,11 +56,20 @@ class ConjunctiveQuery {
                        const ValueDictionary& dict) const;
 
  private:
+  static constexpr VarId kNoVar = UINT32_MAX;
+
+  /// Rebuilds `var_slots_` at the smallest power-of-two capacity that keeps
+  /// the load at most ½ for `size` names.
+  void RehashVariables(size_t size);
+
   std::string name_;
   std::vector<Term> head_;
   std::vector<Atom> atoms_;
   std::vector<std::string> var_names_;
-  std::unordered_map<std::string, VarId> var_ids_;
+  /// Linear-probing table of VarIds whose keys are read back from
+  /// `var_names_` (as View does for head values): power-of-two size, load
+  /// at most ½, kNoVar marks a free slot. Empty until the first variable.
+  std::vector<VarId> var_slots_;
 };
 
 }  // namespace delprop

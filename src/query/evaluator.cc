@@ -26,6 +26,14 @@ class JoinContext {
         out_(out) {
     assignment_.assign(query.variable_count(), kUnbound);
     witness_.resize(query.atoms().size());
+    // Scratch sized once: each variable is bound at most once along a
+    // branch, and each depth collects at most its atom's terms.
+    bound_vars_.reserve(query.variable_count());
+    bound_positions_.resize(query.atoms().size());
+    for (size_t a = 0; a < query.atoms().size(); ++a) {
+      bound_positions_[a].reserve(query.atoms()[a].terms.size());
+    }
+    head_values_.reserve(query.head().size());
     OrderAtoms();
     if (stats_ != nullptr) stats_->atom_order = order_;
   }
@@ -36,6 +44,11 @@ class JoinContext {
   bool overflowed() const { return overflowed_; }
 
  private:
+  struct BoundPosition {
+    size_t pos;
+    ValueId value;
+  };
+
   /// Greedy ordering: repeatedly pick the unplaced atom with the most terms
   /// bound by constants or previously placed atoms; break ties towards the
   /// smaller relation.
@@ -114,11 +127,10 @@ class JoinContext {
     return *indexes_.emplace(key, std::move(index)).first->second;
   }
 
-  /// Tries to extend the current partial assignment with row `row` of the
-  /// atom at order position `depth`. Returns the list of variables bound by
-  /// this row (to undo on backtrack), or nullopt on mismatch.
-  bool TryBind(const Atom& atom, const Tuple& row,
-               std::vector<VarId>* newly_bound) {
+  /// Tries to extend the current partial assignment with `row` for `atom`.
+  /// Every variable it binds is pushed on `bound_vars_`, also on a mismatch,
+  /// so the caller undoes either outcome with UndoTo.
+  bool TryBind(const Atom& atom, const Tuple& row) {
     for (size_t pos = 0; pos < atom.terms.size(); ++pos) {
       const Term& t = atom.terms[pos];
       if (t.is_constant()) {
@@ -127,14 +139,18 @@ class JoinContext {
         if (row[pos] != assignment_[t.id]) return false;
       } else {
         assignment_[t.id] = row[pos];
-        newly_bound->push_back(t.id);
+        bound_vars_.push_back(t.id);
       }
     }
     return true;
   }
 
-  void Undo(const std::vector<VarId>& newly_bound) {
-    for (VarId v : newly_bound) assignment_[v] = kUnbound;
+  /// Unbinds every variable pushed on `bound_vars_` since `mark`.
+  void UndoTo(size_t mark) {
+    while (bound_vars_.size() > mark) {
+      assignment_[bound_vars_.back()] = kUnbound;
+      bound_vars_.pop_back();
+    }
   }
 
   void Descend(size_t depth) {
@@ -147,12 +163,10 @@ class JoinContext {
     const Atom& atom = query_.atoms()[atom_index];
     const Relation& rel = db_.relation(atom.relation);
 
-    // Collect the bound positions of this atom under the current assignment.
-    struct BoundPosition {
-      size_t pos;
-      ValueId value;
-    };
-    std::vector<BoundPosition> bound_positions;
+    // Collect the bound positions of this atom under the current assignment,
+    // into this depth's scratch (deeper calls use their own).
+    std::vector<BoundPosition>& bound_positions = bound_positions_[depth];
+    bound_positions.clear();
     for (size_t pos = 0; pos < atom.terms.size(); ++pos) {
       const Term& t = atom.terms[pos];
       if (t.is_constant()) {
@@ -193,12 +207,12 @@ class JoinContext {
       if (stats_ != nullptr) ++stats_->rows_scanned;
       TupleRef ref{atom.relation, row_index};
       if (mask_ != nullptr && mask_->Contains(ref)) return;
-      std::vector<VarId> newly_bound;
-      if (TryBind(atom, rel.row(row_index), &newly_bound)) {
+      size_t mark = bound_vars_.size();
+      if (TryBind(atom, rel.row(row_index))) {
         witness_[atom_index] = ref;
         Descend(depth + 1);
       }
-      Undo(newly_bound);
+      UndoTo(mark);
     };
 
     if (have_bound_position) {
@@ -217,12 +231,11 @@ class JoinContext {
     }
     ++emitted_;
     if (stats_ != nullptr) ++stats_->matches;
-    Tuple values;
-    values.reserve(query_.head().size());
+    head_values_.clear();
     for (const Term& t : query_.head()) {
-      values.push_back(t.is_constant() ? t.id : assignment_[t.id]);
+      head_values_.push_back(t.is_constant() ? t.id : assignment_[t.id]);
     }
-    out_->AddMatch(values, witness_);
+    out_->AddMatch(head_values_, witness_);
   }
 
   const Database& db_;
@@ -237,6 +250,11 @@ class JoinContext {
   std::vector<size_t> order_;
   std::vector<ValueId> assignment_;
   Witness witness_;
+  // Variables bound along the current branch, innermost last.
+  std::vector<VarId> bound_vars_;
+  // Per depth: the bound positions of the atom placed there.
+  std::vector<std::vector<BoundPosition>> bound_positions_;
+  Tuple head_values_;  // Emit's scratch
   // Indexes pinned for this evaluation: locally built ones and shared-cache
   // entries alike. Pinning keeps cache entries alive even if the cache drops
   // them mid-query.

@@ -30,7 +30,7 @@ Result<RelationId> Schema::AddRelation(std::string_view name, size_t arity,
     return Status::InvalidArgument("key position out of range in relation '" +
                                    std::string(name) + "'");
   }
-  if (ids_by_name_.count(std::string(name)) != 0) {
+  if (ids_by_name_.count(name) != 0) {
     return Status::AlreadyExists("relation '" + std::string(name) +
                                  "' already declared");
   }
@@ -55,7 +55,7 @@ Result<RelationId> Schema::AddRelationNamed(
 }
 
 std::optional<RelationId> Schema::FindRelation(std::string_view name) const {
-  auto it = ids_by_name_.find(std::string(name));
+  auto it = ids_by_name_.find(name);
   if (it == ids_by_name_.end()) return std::nullopt;
   return it->second;
 }

@@ -2,6 +2,7 @@
 #define DELPROP_RELATIONAL_SCHEMA_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -9,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 
 namespace delprop {
@@ -59,7 +61,8 @@ class Schema {
  private:
   // unique_ptr keeps RelationSchema addresses stable across vector growth.
   std::vector<std::unique_ptr<RelationSchema>> relations_;
-  std::unordered_map<std::string, RelationId> ids_by_name_;
+  std::unordered_map<std::string, RelationId, StringHash, std::equal_to<>>
+      ids_by_name_;
 };
 
 }  // namespace delprop

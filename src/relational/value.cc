@@ -5,7 +5,7 @@
 namespace delprop {
 
 ValueId ValueDictionary::Intern(std::string_view text) {
-  auto it = ids_by_text_.find(std::string(text));
+  auto it = ids_by_text_.find(text);
   if (it != ids_by_text_.end()) return it->second;
   ValueId id = static_cast<ValueId>(texts_.size());
   texts_.emplace_back(text);

@@ -2,11 +2,14 @@
 #define DELPROP_RELATIONAL_VALUE_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
+
+#include "common/hash.h"
 
 namespace delprop {
 
@@ -38,7 +41,7 @@ class ValueDictionary {
 
   /// Returns the id of `text` if it was interned before, without interning.
   std::optional<ValueId> Find(std::string_view text) const {
-    auto it = ids_by_text_.find(std::string(text));
+    auto it = ids_by_text_.find(text);
     if (it == ids_by_text_.end()) return std::nullopt;
     return it->second;
   }
@@ -50,7 +53,8 @@ class ValueDictionary {
   size_t size() const { return texts_.size(); }
 
  private:
-  std::unordered_map<std::string, ValueId> ids_by_text_;
+  std::unordered_map<std::string, ValueId, StringHash, std::equal_to<>>
+      ids_by_text_;
   std::vector<std::string> texts_;
   uint64_t fresh_counter_ = 0;
 };

@@ -5,8 +5,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "dp/base_delta.h"
 #include "dp/vse_instance.h"
 #include "plan/compiled_instance.h"
+#include "query/parser.h"
 #include "testing/fuzzer.h"
 #include "testing/reference_eval.h"
 #include "workload/author_journal.h"
@@ -230,6 +232,121 @@ TEST(PlanFuzzTest, DenseRoundTripOverFuzzSeeds) {
       ASSERT_EQ(plan->FindBase(plan->base_ref(b)), b) << "seed " << seed;
     }
   }
+}
+
+// Base interning reads ids from a per-database-row table. This database has
+// rows outside every witness in each queried relation, a relation no query
+// reads (first, so the table's offsets skip it) and an empty relation
+// (between the two queried ones).
+class PlanRowTableTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    u_ = *db_.AddRelation("U", 1, {0});
+    r_ = *db_.AddRelation("R", 2, {0});
+    ASSERT_TRUE(db_.AddRelation("E", 1, {0}).ok());
+    s_ = *db_.AddRelation("S", 2, {0});
+    for (const char* u : {"u0", "u1", "u2"}) {
+      ASSERT_TRUE(db_.InsertText(u_, {u}).ok());
+    }
+    // R rows 1 and 3 and S rows 0 and 2 join nothing.
+    ASSERT_TRUE(db_.InsertText(r_, {"a0", "b0"}).ok());
+    ASSERT_TRUE(db_.InsertText(r_, {"a1", "lonely"}).ok());
+    ASSERT_TRUE(db_.InsertText(r_, {"a2", "b1"}).ok());
+    ASSERT_TRUE(db_.InsertText(r_, {"a3", "nowhere"}).ok());
+    ASSERT_TRUE(db_.InsertText(r_, {"a4", "b0"}).ok());
+    ASSERT_TRUE(db_.InsertText(s_, {"unjoined", "c9"}).ok());
+    ASSERT_TRUE(db_.InsertText(s_, {"b0", "c0"}).ok());
+    ASSERT_TRUE(db_.InsertText(s_, {"stray", "c8"}).ok());
+    ASSERT_TRUE(db_.InsertText(s_, {"b1", "c1"}).ok());
+    Result<ConjunctiveQuery> query =
+        ParseQuery("Q(a, c) :- R(a, b), S(b, c)", db_.schema(), db_.dict());
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    query_ = std::make_unique<ConjunctiveQuery>(std::move(*query));
+    Result<VseInstance> instance = VseInstance::Create(db_, {query_.get()});
+    ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+    instance_ = std::make_unique<VseInstance>(std::move(*instance));
+  }
+
+  /// The witness refs of every view tuple, sorted and deduplicated: what
+  /// the base id space must be, computed without the plan.
+  std::vector<TupleRef> SortedWitnessRefs() const {
+    std::vector<TupleRef> refs;
+    for (size_t v = 0; v < instance_->view_count(); ++v) {
+      for (size_t t = 0; t < instance_->view(v).size(); ++t) {
+        for (const Witness& w : instance_->view(v).tuple(t).witnesses) {
+          refs.insert(refs.end(), w.begin(), w.end());
+        }
+      }
+    }
+    std::sort(refs.begin(), refs.end());
+    refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
+    return refs;
+  }
+
+  void ExpectBasesAreWitnessRefs() {
+    std::shared_ptr<const CompiledInstance> plan = instance_->compiled();
+    std::vector<TupleRef> expected = SortedWitnessRefs();
+    const std::vector<TupleRef>& bases = plan->core()->base_refs;
+    ASSERT_EQ(bases.size(), expected.size());
+    for (size_t b = 0; b < expected.size(); ++b) {
+      EXPECT_TRUE(bases[b] == expected[b]) << "base " << b;
+      EXPECT_EQ(plan->FindBase(expected[b]), b);
+    }
+    // Reserved at the exact count, not at the number of witness members.
+    EXPECT_EQ(bases.capacity(), bases.size());
+    // Every other database row has no base id.
+    for (RelationId r = 0; r < db_.relation_count(); ++r) {
+      for (uint32_t row = 0; row < db_.relation(r).row_count(); ++row) {
+        TupleRef ref{r, row};
+        if (!std::binary_search(expected.begin(), expected.end(), ref)) {
+          EXPECT_EQ(plan->FindBase(ref), CompiledInstance::kNpos)
+              << "relation " << r << " row " << row;
+        }
+      }
+    }
+  }
+
+  Database db_;
+  RelationId u_ = 0;
+  RelationId r_ = 0;
+  RelationId s_ = 0;
+  std::unique_ptr<ConjunctiveQuery> query_;
+  std::unique_ptr<VseInstance> instance_;
+};
+
+TEST_F(PlanRowTableTest, BasesAreTheSortedWitnessRefs) {
+  // Q = {(a0, c0), (a2, c1), (a4, c0)}: R rows 0, 2, 4 and S rows 1, 3.
+  ASSERT_EQ(instance_->view(0).size(), 3u);
+  ExpectBasesAreWitnessRefs();
+  EXPECT_EQ(instance_->compiled()->base_count(), 5u);
+}
+
+TEST_F(PlanRowTableTest, FullRebuildAfterAppendingRows) {
+  (void)instance_->compiled();
+  BaseDelta delta;
+  auto row = [&](RelationId relation, const char* a, const char* b) {
+    return BaseInsert{relation, {db_.dict().Intern(a), db_.dict().Intern(b)}};
+  };
+  delta.inserts.push_back(row(r_, "a5", "b1"));     // joins S row 3
+  delta.inserts.push_back(row(r_, "a6", "b2"));     // joins the new S row
+  delta.inserts.push_back(row(r_, "a7", "void"));   // joins nothing
+  delta.inserts.push_back(row(s_, "b2", "c2"));
+  delta.inserts.push_back(row(s_, "ghost", "c7"));  // joins nothing
+  delta.inserts.push_back(BaseInsert{u_, {db_.dict().Intern("u3")}});
+  delta.deletes.push_back(TupleRef{r_, 0});
+  ApplyDeltaOptions rebuild_always;
+  rebuild_always.patch_threshold = 0.0;
+  ApplyDeltaReport report;
+  ASSERT_TRUE(
+      instance_->ApplyDelta(db_, delta, rebuild_always, &report).ok());
+  EXPECT_TRUE(report.core_rebuilt);
+  size_t full_builds = instance_->plan_stats().full_builds;
+  ExpectBasesAreWitnessRefs();
+  EXPECT_EQ(instance_->plan_stats().full_builds, full_builds + 1);
+  // (a2, c1), (a4, c0), (a5, c1), (a6, c2): R rows 2, 4, 5, 6 and S rows
+  // 1, 3, 4.
+  EXPECT_EQ(instance_->TotalViewTuples(), 4u);
+  EXPECT_EQ(instance_->compiled()->base_count(), 7u);
 }
 
 }  // namespace

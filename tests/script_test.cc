@@ -83,6 +83,22 @@ TEST(ScriptTest, WeightChangesOptimum) {
   EXPECT_LT(cost, 100.0) << "optimum must route around the heavy tuple";
 }
 
+TEST(ScriptTest, NaNWeightRejected) {
+  ScriptSession session;
+  std::string out;
+  ASSERT_TRUE(session.Run(kFig1Setup, &out).ok());
+  Status status =
+      session.Run("delete Q3(John, XML)\nweight Q3(Joe, XML) nan", &out);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("Q3(Joe, XML)"), std::string::npos)
+      << status.message();
+  // The rejected line left the weight alone: the optimum is still 4.
+  out.clear();
+  ASSERT_TRUE(session.Run("solve exact", &out).ok()) << out;
+  EXPECT_NE(out.find("eliminates all of ΔV: yes"), std::string::npos) << out;
+  EXPECT_NE(out.find("view side-effect: 4"), std::string::npos) << out;
+}
+
 TEST(ScriptTest, PhaseViolationsRejected) {
   ScriptSession session;
   std::string out;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "dp/side_effect.h"
 #include "dp/vse_instance.h"
@@ -158,6 +160,26 @@ TEST_F(Fig1Test, WeightsDefaultAndSet) {
   EXPECT_DOUBLE_EQ(instance().weight(id), 2.5);
   EXPECT_FALSE(instance().SetWeight(id, -1.0).ok());
   EXPECT_FALSE(instance().SetWeight(ViewTupleId{9, 0}, 1.0).ok());
+}
+
+TEST_F(Fig1Test, SetWeightRejectsNaNAndAcceptsSignedZeroAndInfinity) {
+  ViewTupleId id{0, 0};
+  Status nan =
+      instance().SetWeight(id, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(nan.code(), StatusCode::kInvalidArgument);
+  // The message names the view tuple.
+  EXPECT_NE(nan.message().find(instance().RenderViewTuple(id)),
+            std::string::npos)
+      << nan.message();
+  EXPECT_DOUBLE_EQ(instance().weight(id), 1.0);
+
+  ASSERT_TRUE(instance().SetWeight(id, -0.0).ok());
+  EXPECT_EQ(instance().weight(id), 0.0);
+  ASSERT_TRUE(
+      instance().SetWeight(id, std::numeric_limits<double>::infinity()).ok());
+  EXPECT_EQ(instance().weight(id), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(instance().SetWeight(id, -0.5).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(Fig1Test, WeightedSideEffect) {
