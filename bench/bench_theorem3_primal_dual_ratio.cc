@@ -1,6 +1,8 @@
 // Theorem 3: PrimeDualVSE (Algorithm 1) is an l-approximation on forest
 // cases. Sweeps tree workloads of varying depth/width, reporting the
 // measured ratio against the l bound and against the other tree algorithm.
+// Exits 1, naming the row and trial, when primal-dual fails or costs more
+// than l·OPT against a proven optimum.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -15,6 +17,7 @@ namespace delprop {
 namespace {
 
 int Run() {
+  int status = 0;
   bench::Header("Theorem 3 — PrimeDualVSE ratio sweep on forest cases");
   TextTable table({"levels", "roots", "fanout", "‖V‖", "‖ΔV‖", "l", "OPT",
                    "primal-dual", "ratio", "greedy", "pd ms"});
@@ -43,7 +46,24 @@ int Run() {
       auto [pd, pd_ms] =
           bench::Timed([&] { return primal_dual.Solve(instance); });
       Result<VseSolution> g = greedy.Solve(instance);
-      if (!bench::ProvenOptimal(opt) || !pd.ok() || !g.ok()) continue;
+      if (!pd.ok()) {
+        std::fprintf(stderr,
+                     "FAIL levels=%zu roots=%zu fanout=%zu trial=%d: %s\n",
+                     levels, roots, fanout, trial,
+                     pd.status().ToString().c_str());
+        status = 1;
+        continue;
+      }
+      if (!bench::ProvenOptimal(opt) || !g.ok()) continue;
+      double l = static_cast<double>(instance.max_arity());
+      if (pd->Cost() > l * opt->Cost() + 1e-9) {
+        std::fprintf(stderr,
+                     "FAIL levels=%zu roots=%zu fanout=%zu trial=%d: "
+                     "primal-dual %.17g > l·OPT = %.0f·%.17g\n",
+                     levels, roots, fanout, trial, pd->Cost(), l,
+                     opt->Cost());
+        status = 1;
+      }
       double ratio =
           opt->Cost() > 0 ? pd->Cost() / opt->Cost() : 1.0;
       ratio_worst = std::max(ratio_worst, ratio);
@@ -65,7 +85,7 @@ int Run() {
   table.Print();
   std::printf("\nShape check: every measured ratio is ≤ l (and usually near "
               "1); the reverse-delete step keeps solutions minimal.\n");
-  return 0;
+  return status;
 }
 
 }  // namespace

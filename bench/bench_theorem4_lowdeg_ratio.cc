@@ -1,7 +1,10 @@
 // Theorem 4: LowDegTreeVSETwo (Algorithms 2+3) approximates within
 // 2·sqrt(‖V‖) on forest cases — sometimes better than Algorithm 1's l.
 // Sweeps tree workloads and reports both algorithms' measured ratios
-// against both bounds.
+// against both bounds. Exits 1, naming the row, when a tree solver fails or
+// lowdeg-tree costs more than 2·sqrt(‖V‖)·max(OPT, 1) against a proven
+// optimum.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -17,6 +20,7 @@ namespace delprop {
 namespace {
 
 int Run() {
+  int status = 0;
   bench::Header("Theorem 4 — LowDegTreeVSETwo ratio sweep on forest cases");
   TextTable table({"levels", "fanout", "‖V‖", "l", "2sqrt(V)", "OPT",
                    "lowdeg", "ld ratio", "primal-dual", "pd ratio"});
@@ -42,9 +46,24 @@ int Run() {
     Result<VseSolution> opt = exact.Solve(instance);
     Result<VseSolution> ld = lowdeg.Solve(instance);
     Result<VseSolution> pd = primal_dual.Solve(instance);
-    if (!ld.ok() || !pd.ok()) return 1;
+    if (!ld.ok() || !pd.ok()) {
+      std::fprintf(stderr, "FAIL levels=%zu fanout=%zu: %s\n", levels,
+                   fanout,
+                   (ld.ok() ? pd.status() : ld.status()).ToString().c_str());
+      return 1;
+    }
     double v = static_cast<double>(instance.TotalViewTuples());
     const bool proven = bench::ProvenOptimal(opt);
+    // The bound is on the ratio to max(OPT, 1), as in the ratio column.
+    if (proven &&
+        ld->Cost() > 2.0 * std::sqrt(v) * std::max(opt->Cost(), 1.0) + 1e-9) {
+      std::fprintf(stderr,
+                   "FAIL levels=%zu fanout=%zu: lowdeg-tree %.17g > "
+                   "2·sqrt(‖V‖)·max(OPT, 1) = %.1f·%.17g\n",
+                   levels, fanout, ld->Cost(), 2.0 * std::sqrt(v),
+                   std::max(opt->Cost(), 1.0));
+      status = 1;
+    }
     std::string opt_str = proven ? FmtDouble(opt->Cost(), 0) : "-";
     table.AddRow(
         {std::to_string(levels), std::to_string(fanout),
@@ -84,7 +103,7 @@ int Run() {
     std::printf("  hub workload: OPT=%.0f  lowdeg=%.0f  primal-dual=%.0f\n",
                 opt->Cost(), ld->Cost(), pd->Cost());
   }
-  return 0;
+  return status;
 }
 
 }  // namespace

@@ -49,9 +49,21 @@ for t in build/tests/*_test; do
     exit 1
   }
 done
+# Every paper bench in turn, output appended to bench_output.txt. sh has no
+# pipefail, so each bench's status is checked here, not through tee: the
+# loop stops at the first bench that exits nonzero (a failed claim check).
+: > bench_output.txt
 for b in build/bench/bench_*; do
-  [ -x "$b" ] && [ -f "$b" ] && "$b"
-done 2>&1 | tee bench_output.txt
+  [ -x "$b" ] && [ -f "$b" ] || continue
+  status=0
+  "$b" > bench_last_output.txt 2>&1 || status=$?
+  tee -a bench_output.txt < bench_last_output.txt
+  if [ "$status" -ne 0 ]; then
+    echo "bench failed: $b (exit $status)" >&2
+    exit 1
+  fi
+done
+rm -f bench_last_output.txt
 
 # Release-mode (-O2) bench smoke: build just the flagship benches in a
 # separate optimized tree and regenerate the machine-readable BENCH_*.json

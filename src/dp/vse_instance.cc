@@ -1,6 +1,7 @@
 #include "dp/vse_instance.h"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_set>
 #include <utility>
 
@@ -597,11 +598,12 @@ Status VseInstance::SetWeight(const ViewTupleId& id, double weight) {
     return Status::OutOfRange("view tuple id out of range");
   }
   // Written so that NaN fails too: every comparison with NaN is false.
-  // -0.0 and +inf pass.
-  if (!(weight >= 0.0)) {
+  // -0.0 passes. +inf does not: the solvers rank deletions by summed
+  // weight, and sums of infinities rank nothing.
+  if (!(weight >= 0.0 && weight < std::numeric_limits<double>::infinity())) {
     return Status::InvalidArgument("weight of " + RenderViewTuple(id) +
-                                   " must be a non-negative number, got " +
-                                   std::to_string(weight));
+                                   " must be a finite non-negative number, "
+                                   "got " + std::to_string(weight));
   }
   weights_[id] = weight;
   // Weights live in the plan core; patch it instead of discarding it — a

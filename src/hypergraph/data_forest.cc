@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <numeric>
-#include <set>
 
 namespace delprop {
 namespace {
+
+// Row-table slot of a row that occurs in no witness.
+constexpr uint32_t kNoNode = 0xFFFFFFFFu;
 
 // Atom pairs of `query` that share at least one variable; witness tuples
 // matched by such atom pairs are adjacent in the data dual graph.
@@ -58,84 +59,202 @@ class DisjointSets {
   std::vector<size_t> parent_;
 };
 
+// Open-addressing set of undirected edges, each packed as (min << 32 | max).
+class EdgeSet {
+ public:
+  // Sized for `expected` edges without a rehash.
+  explicit EdgeSet(size_t expected) { Rehash(expected); }
+
+  // Adds the edge {a, b}, a != b; false if it was present already.
+  bool Insert(uint32_t a, uint32_t b) {
+    if (2 * (size_ + 1) > slots_.size()) Rehash(size_ + 1);
+    uint64_t key = a < b ? (uint64_t{a} << 32 | b) : (uint64_t{b} << 32 | a);
+    size_t mask = slots_.size() - 1;
+    for (size_t slot = HomeSlot(key);; slot = (slot + 1) & mask) {
+      if (slots_[slot] == key) return false;
+      if (slots_[slot] == kEmpty) {
+        slots_[slot] = key;
+        ++size_;
+        return true;
+      }
+    }
+  }
+
+ private:
+  // No edge packs to this: it would need min == max.
+  static constexpr uint64_t kEmpty = ~uint64_t{0};
+
+  size_t HomeSlot(uint64_t key) const {
+    uint64_t h = key * 0x9e3779b97f4a7c15ULL;
+    return static_cast<size_t>(h ^ (h >> 32)) & (slots_.size() - 1);
+  }
+
+  void Rehash(size_t size) {
+    size_t capacity = 16;
+    while (capacity < 2 * size) capacity *= 2;
+    std::vector<uint64_t> old = std::move(slots_);
+    slots_.assign(capacity, kEmpty);
+    size_t mask = capacity - 1;
+    for (uint64_t key : old) {
+      if (key == kEmpty) continue;
+      size_t slot = HomeSlot(key);
+      while (slots_[slot] != kEmpty) slot = (slot + 1) & mask;
+      slots_[slot] = key;
+    }
+  }
+
+  std::vector<uint64_t> slots_;
+  size_t size_ = 0;
+};
+
 }  // namespace
 
 DataForest DataForest::Build(const std::vector<const View*>& views) {
   DataForest forest;
 
-  auto intern_node = [&forest](const TupleRef& ref) {
-    auto [it, inserted] = forest.node_of_.emplace(ref, forest.refs_.size());
-    if (inserted) {
-      forest.refs_.push_back(ref);
-      forest.adjacency_.emplace_back();
-    }
-    return it->second;
-  };
-
-  // First pass: intern nodes and record witnesses.
-  for (size_t v = 0; v < views.size(); ++v) {
-    const View& view = *views[v];
-    for (size_t t = 0; t < view.size(); ++t) {
-      const ViewTuple& tuple = view.tuple(t);
-      for (size_t w = 0; w < tuple.witnesses.size(); ++w) {
-        ForestWitness fw;
-        fw.view_index = v;
-        fw.tuple_index = t;
-        fw.witness_index = w;
-        for (const TupleRef& ref : tuple.witnesses[w]) {
-          fw.nodes.push_back(intern_node(ref));
+  // Sizing pass: the row table's extent (per relation, one past the largest
+  // row any witness names) and the witness and member totals.
+  std::vector<uint32_t> row_count;
+  size_t witness_count = 0;
+  size_t member_count = 0;
+  for (const View* view : views) {
+    for (size_t t = 0; t < view->size(); ++t) {
+      for (const Witness& witness : view->tuple(t).witnesses) {
+        ++witness_count;
+        member_count += witness.size();
+        for (const TupleRef& ref : witness) {
+          if (ref.relation >= row_count.size()) {
+            row_count.resize(static_cast<size_t>(ref.relation) + 1, 0);
+          }
+          row_count[ref.relation] =
+              std::max(row_count[ref.relation], ref.row + 1);
         }
-        std::sort(fw.nodes.begin(), fw.nodes.end());
-        fw.nodes.erase(std::unique(fw.nodes.begin(), fw.nodes.end()),
-                       fw.nodes.end());
-        forest.witnesses_.push_back(std::move(fw));
       }
     }
   }
+  forest.row_first_.assign(row_count.size() + 1, 0);
+  for (size_t r = 0; r < row_count.size(); ++r) {
+    forest.row_first_[r + 1] = forest.row_first_[r] + row_count[r];
+  }
+  forest.node_of_row_.assign(forest.row_first_.back(), kNoNode);
 
-  // Second pass: add edges between tuples matched by joined atoms.
-  DisjointSets sets(forest.refs_.size());
-  std::set<std::pair<size_t, size_t>> edge_set;
-  size_t witness_cursor = 0;
+  // Main pass, in (view, tuple, witness, member) order: intern nodes on
+  // first touch, record each witness's sorted node list, and collect the
+  // edges between tuples matched by joined atoms in first-seen order. A
+  // forest has fewer edges than nodes, and there are no more nodes than
+  // row-table slots or witness members.
+  std::vector<uint32_t> witness_first;
+  witness_first.reserve(witness_count + 1);
+  forest.witnesses_.reserve(witness_count);
+  forest.witness_nodes_.reserve(member_count);
+  size_t node_bound = std::min(forest.node_of_row_.size(), member_count);
+  EdgeSet edge_set(node_bound);
+  std::vector<std::pair<uint32_t, uint32_t>> edges;
+  edges.reserve(node_bound);
+  std::vector<uint32_t> atom_nodes;  // one witness's nodes, in atom order
   for (size_t v = 0; v < views.size(); ++v) {
     const View& view = *views[v];
     auto joined_pairs = JoinedAtomPairs(view.query());
     for (size_t t = 0; t < view.size(); ++t) {
       const ViewTuple& tuple = view.tuple(t);
       for (size_t w = 0; w < tuple.witnesses.size(); ++w) {
-        const Witness& witness = tuple.witnesses[w];
-        (void)witness_cursor;
-        for (auto [i, j] : joined_pairs) {
-          size_t a = forest.node_of_.at(witness[i]);
-          size_t b = forest.node_of_.at(witness[j]);
-          if (a == b) continue;
-          auto key = std::minmax(a, b);
-          if (edge_set.count({key.first, key.second}) > 0) continue;
-          edge_set.insert({key.first, key.second});
-          if (!sets.Union(a, b)) forest.is_forest_ = false;
-          forest.adjacency_[a].push_back(b);
-          forest.adjacency_[b].push_back(a);
+        atom_nodes.clear();
+        for (const TupleRef& ref : tuple.witnesses[w]) {
+          uint32_t& node =
+              forest.node_of_row_[forest.row_first_[ref.relation] + ref.row];
+          if (node == kNoNode) {
+            node = static_cast<uint32_t>(forest.refs_.size());
+            forest.refs_.push_back(ref);
+          }
+          atom_nodes.push_back(node);
         }
+        for (auto [i, j] : joined_pairs) {
+          uint32_t a = atom_nodes[i];
+          uint32_t b = atom_nodes[j];
+          if (a != b && edge_set.Insert(a, b)) edges.emplace_back(a, b);
+        }
+        std::vector<uint32_t>& all = forest.witness_nodes_;
+        witness_first.push_back(static_cast<uint32_t>(all.size()));
+        all.insert(all.end(), atom_nodes.begin(), atom_nodes.end());
+        auto first = all.begin() + witness_first.back();
+        std::sort(first, all.end());
+        all.erase(std::unique(first, all.end()), all.end());
+        forest.witnesses_.push_back(ForestWitness{v, t, w, {}});
       }
     }
   }
-
-  // Component ids, dense.
-  forest.component_.assign(forest.refs_.size(), 0);
-  std::unordered_map<size_t, size_t> dense;
-  for (size_t n = 0; n < forest.refs_.size(); ++n) {
-    size_t root = sets.Find(n);
-    auto [it, inserted] = dense.emplace(root, dense.size());
-    forest.component_[n] = it->second;
+  witness_first.push_back(static_cast<uint32_t>(forest.witness_nodes_.size()));
+  const std::span<const uint32_t> all_nodes(forest.witness_nodes_);
+  for (size_t i = 0; i < forest.witnesses_.size(); ++i) {
+    forest.witnesses_[i].nodes = all_nodes.subspan(
+        witness_first[i], witness_first[i + 1] - witness_first[i]);
   }
-  forest.component_count_ = dense.size();
+
+  size_t n = forest.refs_.size();
+  DisjointSets sets(n);
+  for (auto [a, b] : edges) {
+    if (!sets.Union(a, b)) forest.is_forest_ = false;
+  }
+
+  // Adjacency, each node's neighbors in edge first-seen order.
+  forest.adjacency_first_.assign(n + 1, 0);
+  for (auto [a, b] : edges) {
+    ++forest.adjacency_first_[a + 1];
+    ++forest.adjacency_first_[b + 1];
+  }
+  for (size_t node = 0; node < n; ++node) {
+    forest.adjacency_first_[node + 1] += forest.adjacency_first_[node];
+  }
+  forest.adjacency_.resize(2 * edges.size());
+  {
+    std::vector<uint32_t> cursor(forest.adjacency_first_.begin(),
+                                 forest.adjacency_first_.end() - 1);
+    for (auto [a, b] : edges) {
+      forest.adjacency_[cursor[a]++] = b;
+      forest.adjacency_[cursor[b]++] = a;
+    }
+  }
+
+  // Component ids, dense, in order of each component's lowest node.
+  forest.component_.resize(n);
+  std::vector<uint32_t> dense_of_root(n, kNoNode);
+  for (size_t node = 0; node < n; ++node) {
+    uint32_t& dense = dense_of_root[sets.Find(node)];
+    if (dense == kNoNode) {
+      dense = static_cast<uint32_t>(forest.component_count_++);
+    }
+    forest.component_[node] = dense;
+  }
   return forest;
 }
 
 std::optional<size_t> DataForest::NodeOf(const TupleRef& ref) const {
-  auto it = node_of_.find(ref);
-  if (it == node_of_.end()) return std::nullopt;
-  return it->second;
+  if (ref.relation + size_t{1} >= row_first_.size()) return std::nullopt;
+  size_t first = row_first_[ref.relation];
+  if (ref.row >= row_first_[ref.relation + 1] - first) return std::nullopt;
+  uint32_t node = node_of_row_[first + ref.row];
+  if (node == kNoNode) return std::nullopt;
+  return node;
+}
+
+void DataForest::RootComponent(size_t root, Rooting* rooting,
+                               std::vector<uint8_t>* visited,
+                               std::vector<uint32_t>* queue) const {
+  queue->clear();
+  queue->push_back(static_cast<uint32_t>(root));
+  (*visited)[root] = 1;
+  rooting->parent[root] = -1;
+  rooting->depth[root] = 0;
+  for (size_t head = 0; head < queue->size(); ++head) {
+    uint32_t node = (*queue)[head];
+    for (uint32_t next : neighbors(node)) {
+      if ((*visited)[next]) continue;
+      (*visited)[next] = 1;
+      rooting->parent[next] = static_cast<long>(node);
+      rooting->depth[next] = rooting->depth[node] + 1;
+      queue->push_back(next);
+    }
+  }
 }
 
 DataForest::Rooting DataForest::RootAt(const std::vector<size_t>& roots) const {
@@ -157,21 +276,11 @@ DataForest::Rooting DataForest::RootAt(const std::vector<size_t>& roots) const {
     }
   }
 
-  std::vector<bool> visited(node_count(), false);
+  std::vector<uint8_t> visited(node_count(), 0);
+  std::vector<uint32_t> queue;
+  queue.reserve(node_count());
   for (size_t root : rooting.roots) {
-    std::deque<size_t> queue{root};
-    visited[root] = true;
-    while (!queue.empty()) {
-      size_t node = queue.front();
-      queue.pop_front();
-      for (size_t next : adjacency_[node]) {
-        if (visited[next]) continue;
-        visited[next] = true;
-        rooting.parent[next] = static_cast<long>(node);
-        rooting.depth[next] = rooting.depth[node] + 1;
-        queue.push_back(next);
-      }
-    }
+    RootComponent(root, &rooting, &visited, &queue);
   }
   return rooting;
 }
@@ -187,7 +296,7 @@ size_t DataForest::Lca(const Rooting& rooting, size_t a, size_t b) const {
 
 bool DataForest::WitnessIsPath(const ForestWitness& witness,
                                const Rooting& rooting) const {
-  const std::vector<size_t>& nodes = witness.nodes;
+  std::span<const uint32_t> nodes = witness.nodes;
   if (nodes.size() <= 1) return true;
   // All nodes must share a component.
   for (size_t n : nodes) {
@@ -209,90 +318,93 @@ bool DataForest::WitnessIsPath(const ForestWitness& witness,
   // S is a path iff every node lies on path(x, y) and the count matches.
   size_t path_len = dist(x, y);
   if (nodes.size() != path_len + 1) return false;
-  size_t top = Lca(rooting, x, y);
   for (size_t n : nodes) {
-    // n on path(x,y) iff (lca(x,n)==n or lca(y,n)==n) and lca(x,y) is an
-    // ancestor of n, i.e. dist(x,n)+dist(n,y)==dist(x,y).
+    // n lies on path(x, y) iff dist(x, n) + dist(n, y) == dist(x, y).
     if (dist(x, n) + dist(n, y) != path_len) return false;
-    (void)top;
   }
   return true;
 }
 
 bool DataForest::WitnessIsVerticalPath(const ForestWitness& witness,
                                        const Rooting& rooting) const {
-  const std::vector<size_t>& nodes = witness.nodes;
+  std::span<const uint32_t> nodes = witness.nodes;
   if (nodes.size() <= 1) return true;
-  for (size_t n : nodes) {
-    if (component_[n] != component_[nodes[0]]) return false;
-  }
-  // Deepest node d: all others must be ancestors of d at distinct depths
-  // forming a contiguous chain.
+  // Deepest node d: the witness is vertical iff its nodes are exactly d and
+  // d's nearest |nodes| - 1 ancestors. A node in another component or a
+  // second node at some depth can never be met on the walk up. The list is
+  // sorted, so each step's membership test is a binary search.
   size_t d = nodes[0];
   for (size_t n : nodes) {
     if (rooting.depth[n] > rooting.depth[d]) d = n;
   }
-  // Collect depths; must be |nodes| consecutive values ending at depth(d),
-  // and each node must be the ancestor of d at its depth.
-  std::vector<size_t> sorted = nodes;
-  std::sort(sorted.begin(), sorted.end(), [&](size_t a, size_t b) {
-    return rooting.depth[a] > rooting.depth[b];
-  });
   size_t walker = d;
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    if (sorted[i] != walker) return false;
-    if (i + 1 < sorted.size()) {
-      if (rooting.parent[walker] < 0) return false;
-      walker = static_cast<size_t>(rooting.parent[walker]);
-    }
+  for (size_t i = 1; i < nodes.size(); ++i) {
+    if (rooting.parent[walker] < 0) return false;
+    walker = static_cast<size_t>(rooting.parent[walker]);
+    if (!std::binary_search(nodes.begin(), nodes.end(), walker)) return false;
   }
   return true;
 }
 
 std::optional<std::vector<size_t>> DataForest::FindPivotRoots() const {
   if (!is_forest_) return std::nullopt;
+  size_t n = node_count();
 
-  // Group nodes and witnesses by component.
-  std::vector<std::vector<size_t>> nodes_by_component(component_count_);
-  for (size_t n = 0; n < node_count(); ++n) {
-    nodes_by_component[component_[n]].push_back(n);
-  }
-  std::vector<std::vector<const ForestWitness*>> witnesses_by_component(
-      component_count_);
+  // Nodes and witnesses grouped by component (CSR), each group in id order.
+  std::vector<uint32_t> node_first(component_count_ + 1, 0);
+  for (size_t node = 0; node < n; ++node) ++node_first[component_[node] + 1];
+  std::vector<uint32_t> witness_first(component_count_ + 1, 0);
   for (const ForestWitness& w : witnesses_) {
     if (w.nodes.empty()) continue;
-    size_t c = component_[w.nodes[0]];
-    bool single = std::all_of(w.nodes.begin(), w.nodes.end(),
-                              [&](size_t n) { return component_[n] == c; });
-    if (!single) return std::nullopt;
-    witnesses_by_component[c].push_back(&w);
+    uint32_t c = component_[w.nodes[0]];
+    for (uint32_t node : w.nodes) {
+      if (component_[node] != c) return std::nullopt;
+    }
+    ++witness_first[c + 1];
+  }
+  for (size_t c = 0; c < component_count_; ++c) {
+    node_first[c + 1] += node_first[c];
+    witness_first[c + 1] += witness_first[c];
+  }
+  std::vector<uint32_t> nodes_by_component(n);
+  std::vector<uint32_t> witnesses_by_component(witness_first.back());
+  {
+    std::vector<uint32_t> cursor(node_first.begin(), node_first.end() - 1);
+    for (size_t node = 0; node < n; ++node) {
+      nodes_by_component[cursor[component_[node]]++] =
+          static_cast<uint32_t>(node);
+    }
+    cursor.assign(witness_first.begin(), witness_first.end() - 1);
+    for (size_t i = 0; i < witnesses_.size(); ++i) {
+      if (witnesses_[i].nodes.empty()) continue;
+      witnesses_by_component[cursor[component_[witnesses_[i].nodes[0]]]++] =
+          static_cast<uint32_t>(i);
+    }
   }
 
+  // Each candidate roots only its own component; the walk's queue then
+  // holds exactly that component, whose visited marks it clears.
+  Rooting rooting;
+  rooting.parent.assign(n, -1);
+  rooting.depth.assign(n, 0);
+  std::vector<uint8_t> visited(n, 0);
+  std::vector<uint32_t> queue;
+  queue.reserve(n);
   std::vector<size_t> pivots(component_count_);
-  std::vector<size_t> candidate_roots(component_count_);
   for (size_t c = 0; c < component_count_; ++c) {
     bool found = false;
-    for (size_t candidate : nodes_by_component[c]) {
-      candidate_roots[c] = candidate;
-      // Root only this component at `candidate`; others at their first node
-      // (their choice does not affect this component's check).
-      std::vector<size_t> roots(component_count_);
-      for (size_t c2 = 0; c2 < component_count_; ++c2) {
-        roots[c2] = (c2 == c) ? candidate : nodes_by_component[c2].front();
-      }
-      Rooting rooting = RootAt(roots);
-      bool all_vertical = true;
-      for (const ForestWitness* w : witnesses_by_component[c]) {
-        if (!WitnessIsVerticalPath(*w, rooting)) {
-          all_vertical = false;
-          break;
-        }
-      }
-      if (all_vertical) {
-        pivots[c] = candidate;
-        found = true;
-        break;
-      }
+    for (uint32_t slot = node_first[c]; !found && slot < node_first[c + 1];
+         ++slot) {
+      size_t candidate = nodes_by_component[slot];
+      RootComponent(candidate, &rooting, &visited, &queue);
+      for (uint32_t node : queue) visited[node] = 0;
+      found = std::all_of(
+          witnesses_by_component.begin() + witness_first[c],
+          witnesses_by_component.begin() + witness_first[c + 1],
+          [&](uint32_t i) {
+            return WitnessIsVerticalPath(witnesses_[i], rooting);
+          });
+      if (found) pivots[c] = candidate;
     }
     if (!found) return std::nullopt;
   }

@@ -1,8 +1,9 @@
 #ifndef DELPROP_HYPERGRAPH_DATA_FOREST_H_
 #define DELPROP_HYPERGRAPH_DATA_FOREST_H_
 
+#include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "query/view.h"
@@ -19,8 +20,10 @@ struct ForestWitness {
   size_t tuple_index = 0;
   /// Which witness of the view tuple (key-preserving queries have exactly 1).
   size_t witness_index = 0;
-  /// Dense node ids of the base tuples in the witness, deduplicated.
-  std::vector<size_t> nodes;
+  /// Dense node ids of the base tuples in the witness, ascending and
+  /// deduplicated: a view into the forest's flat witness-node array, valid
+  /// as long as the forest it came from.
+  std::span<const uint32_t> nodes;
 };
 
 /// The data dual graph of Section IV.E, specialized to the tree algorithms:
@@ -28,6 +31,11 @@ struct ForestWitness {
 /// tuples matched by atoms that share a query variable are connected. The
 /// tree algorithms require the graph to be a forest and witnesses to be
 /// paths.
+///
+/// Storage is flat: nodes are interned through a row table (one slot per
+/// (relation, row) up to the largest row any witness names), and witness
+/// node lists and adjacency are CSR arrays. The forest is move-only, since
+/// its witnesses' spans point into its own arrays.
 class DataForest {
  public:
   /// A rooting of the forest: parent node per node (-1 at roots), depths, and
@@ -40,7 +48,15 @@ class DataForest {
   };
 
   /// Builds the graph from materialized views (all witnesses of all tuples).
+  /// Node ids are handed out in first-touch order over (view, tuple,
+  /// witness, member); each node's neighbors are listed in the order their
+  /// edges were first seen in the same walk.
   static DataForest Build(const std::vector<const View*>& views);
+
+  DataForest(DataForest&&) = default;
+  DataForest& operator=(DataForest&&) = default;
+  DataForest(const DataForest&) = delete;
+  DataForest& operator=(const DataForest&) = delete;
 
   /// True if no cycle was formed (a precondition of Algorithms 1-4).
   bool is_forest() const { return is_forest_; }
@@ -48,8 +64,10 @@ class DataForest {
   size_t node_count() const { return refs_.size(); }
   const TupleRef& node_ref(size_t node) const { return refs_[node]; }
   std::optional<size_t> NodeOf(const TupleRef& ref) const;
-  const std::vector<size_t>& neighbors(size_t node) const {
-    return adjacency_[node];
+  std::span<const uint32_t> neighbors(size_t node) const {
+    return std::span<const uint32_t>(adjacency_).subspan(
+        adjacency_first_[node],
+        adjacency_first_[node + 1] - adjacency_first_[node]);
   }
   size_t component(size_t node) const { return component_[node]; }
   size_t component_count() const { return component_count_; }
@@ -73,18 +91,36 @@ class DataForest {
 
   /// Searches each component for a pivot node whose rooting makes every
   /// witness of that component vertical. Returns one pivot per component, or
-  /// nullopt if some component has none.
+  /// nullopt if some component has none. Candidates are tried in node-id
+  /// order, and each try re-roots only the candidate's component, so a
+  /// component of c nodes costs O(c) per candidate tried.
   std::optional<std::vector<size_t>> FindPivotRoots() const;
 
  private:
   DataForest() = default;
 
+  /// Breadth-first rooting of `root`'s component into `rooting`'s parent and
+  /// depth arrays; other components' entries are left untouched. Marks the
+  /// component in `visited` (whose other marks must be clear there) and
+  /// leaves it, in visiting order, in `queue`.
+  void RootComponent(size_t root, Rooting* rooting,
+                     std::vector<uint8_t>* visited,
+                     std::vector<uint32_t>* queue) const;
+
   std::vector<TupleRef> refs_;
-  std::unordered_map<TupleRef, size_t, TupleRefHash> node_of_;
-  std::vector<std::vector<size_t>> adjacency_;
-  std::vector<size_t> component_;
+  // Row table: node id per (relation, row), kNoNode for a row in no witness.
+  // Relation r owns slots [row_first_[r], row_first_[r + 1]).
+  std::vector<size_t> row_first_;
+  std::vector<uint32_t> node_of_row_;
+  // CSR adjacency: node n's neighbors are adjacency_[adjacency_first_[n] ..
+  // adjacency_first_[n + 1]).
+  std::vector<uint32_t> adjacency_first_;
+  std::vector<uint32_t> adjacency_;
+  std::vector<uint32_t> component_;
   size_t component_count_ = 0;
   bool is_forest_ = true;
+  // Every witness's sorted node list, back to back; witnesses_ spans it.
+  std::vector<uint32_t> witness_nodes_;
   std::vector<ForestWitness> witnesses_;
 };
 

@@ -1,7 +1,7 @@
 #include "solvers/lowdeg_tree_solver.h"
 
+#include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "solvers/primal_dual_tree_solver.h"
 #include "solvers/tree_common.h"
@@ -19,12 +19,15 @@ Result<VseSolution> LowDegTreeSolver::Solve(const VseInstance& instance) {
   size_t n = forest.node_count();
 
   // Red degree of a node: number of preserved view tuples it is joined into.
+  // The thresholds τ are the distinct red degrees, ascending.
   std::vector<size_t> red_degree(n);
-  std::set<size_t> thresholds;
   for (size_t node = 0; node < n; ++node) {
-    red_degree[node] = structure->preserved_through[node].size();
-    thresholds.insert(red_degree[node]);
+    red_degree[node] = structure->preserved_through(node).size();
   }
+  std::vector<size_t> thresholds = red_degree;
+  std::sort(thresholds.begin(), thresholds.end());
+  thresholds.erase(std::unique(thresholds.begin(), thresholds.end()),
+                   thresholds.end());
 
   // Prune set: preserved paths wider than sqrt(‖V‖).
   double width_cut = std::sqrt(static_cast<double>(instance.TotalViewTuples()));

@@ -19,7 +19,7 @@ Result<std::vector<size_t>> PrimalDualTreeSolver::SolveOnTree(
   // constraint (8) budget); zero-weight paths contribute nothing.
   std::vector<double> capacity(n, 0.0);
   for (size_t node = 0; node < n; ++node) {
-    for (size_t p : structure.preserved_through[node]) {
+    for (uint32_t p : structure.preserved_through(node)) {
       if (!options.zero_weight.empty() && options.zero_weight[p]) continue;
       capacity[node] += structure.preserved_paths[p].weight;
     }
@@ -88,7 +88,7 @@ Result<std::vector<size_t>> PrimalDualTreeSolver::SolveOnTree(
   for (auto it = deletion_order.rbegin(); it != deletion_order.rend(); ++it) {
     size_t node = *it;
     bool removable = true;
-    for (size_t p : structure.delta_through[node]) {
+    for (uint32_t p : structure.delta_through(node)) {
       if (cut_count[p] <= 1) {
         removable = false;
         break;
@@ -96,7 +96,7 @@ Result<std::vector<size_t>> PrimalDualTreeSolver::SolveOnTree(
     }
     if (removable) {
       deleted[node] = false;
-      for (size_t p : structure.delta_through[node]) --cut_count[p];
+      for (uint32_t p : structure.delta_through(node)) --cut_count[p];
     }
   }
 

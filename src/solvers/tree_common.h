@@ -1,6 +1,8 @@
 #ifndef DELPROP_SOLVERS_TREE_COMMON_H_
 #define DELPROP_SOLVERS_TREE_COMMON_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -21,10 +23,12 @@ enum class TreeMode {
 
 /// The tree-case view of a VseInstance: the data forest, a rooting, and every
 /// view tuple's witness as a node path with precomputed LCA/top/bottom.
+/// Move-only, since the paths' node spans point into the forest.
 struct TreeStructure {
   struct PathInfo {
     ViewTupleId id;
-    std::vector<size_t> nodes;
+    /// The witness's nodes, ascending (a view into the forest).
+    std::span<const uint32_t> nodes;
     double weight = 1.0;
     /// Depth of the shallowest node (the path's top end).
     size_t top_depth = 0;
@@ -34,19 +38,45 @@ struct TreeStructure {
     size_t lca_node = 0;
   };
 
+  explicit TreeStructure(DataForest built) : forest(std::move(built)) {}
+  TreeStructure(TreeStructure&&) = default;
+  TreeStructure& operator=(TreeStructure&&) = default;
+  TreeStructure(const TreeStructure&) = delete;
+  TreeStructure& operator=(const TreeStructure&) = delete;
+
+  /// Indices into delta_paths / preserved_paths of the paths containing a
+  /// forest node, ascending.
+  std::span<const uint32_t> delta_through(size_t node) const {
+    return Row(delta_through_first, delta_through_paths, node);
+  }
+  std::span<const uint32_t> preserved_through(size_t node) const {
+    return Row(preserved_through_first, preserved_through_paths, node);
+  }
+
   DataForest forest;
   DataForest::Rooting rooting;
   std::vector<PathInfo> delta_paths;
   std::vector<PathInfo> preserved_paths;
-  /// Per forest node: indices into delta_paths / preserved_paths of the
-  /// paths containing it.
-  std::vector<std::vector<size_t>> delta_through;
-  std::vector<std::vector<size_t>> preserved_through;
+  /// CSR arrays behind delta_through / preserved_through: node n's row is
+  /// *_paths[*_first[n] .. *_first[n + 1]).
+  std::vector<uint32_t> delta_through_first;
+  std::vector<uint32_t> delta_through_paths;
+  std::vector<uint32_t> preserved_through_first;
+  std::vector<uint32_t> preserved_through_paths;
+
+ private:
+  static std::span<const uint32_t> Row(const std::vector<uint32_t>& first,
+                                       const std::vector<uint32_t>& paths,
+                                       size_t node) {
+    return std::span<const uint32_t>(paths).subspan(
+        first[node], first[node + 1] - first[node]);
+  }
 };
 
 /// Builds the structure, failing with FailedPrecondition when the instance is
 /// not a tree case of the requested mode (multiple witnesses, cycles in the
-/// data dual graph, non-path ΔV witnesses, or no pivot rooting).
+/// data dual graph, non-path ΔV witnesses, or no pivot rooting). ΔV marks
+/// and weights are read from the instance's compiled plan.
 Result<TreeStructure> BuildTreeStructure(const VseInstance& instance,
                                          TreeMode mode);
 

@@ -1,12 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "common/rng.h"
 #include "hypergraph/data_forest.h"
+#include "query/parser.h"
+#include "solvers/tree_common.h"
 #include "workload/path_schema.h"
 #include "workload/star_schema.h"
 
 namespace delprop {
 namespace {
+
+// Witness node lists and path records are spans into the forest's arrays,
+// so neither owner may be copied.
+static_assert(!std::is_copy_constructible_v<DataForest>);
+static_assert(!std::is_copy_constructible_v<TreeStructure>);
+static_assert(std::is_move_constructible_v<DataForest>);
+static_assert(std::is_move_constructible_v<TreeStructure>);
 
 DataForest BuildFromInstance(const VseInstance& instance) {
   return DataForest::Build(instance.ViewPointers());
@@ -79,6 +90,90 @@ TEST(DataForestTest, NodeOfRoundTrips) {
     EXPECT_EQ(*back, n);
   }
   EXPECT_FALSE(forest.NodeOf(TupleRef{99, 99}).has_value());
+}
+
+TEST(DataForestTest, NodeOfMissesRowsOutsideEveryWitness) {
+  // R(a*, b) ⋈ S(b*, c): R rows 0 and 2 join, R row 1 joins nothing and
+  // sits inside the row table, R row 3 joins nothing and lies past it, and
+  // T is in no query.
+  Database db;
+  ASSERT_TRUE(db.AddRelation("R", 2, {0}).ok());
+  ASSERT_TRUE(db.AddRelation("S", 2, {0}).ok());
+  ASSERT_TRUE(db.AddRelation("T", 1, {0}).ok());
+  for (auto row : {std::vector<std::string>{"1", "x"},
+                   std::vector<std::string>{"2", "y"},
+                   std::vector<std::string>{"3", "z"},
+                   std::vector<std::string>{"4", "w"}}) {
+    ASSERT_TRUE(db.InsertText(0, row).ok());
+  }
+  ASSERT_TRUE(db.InsertText(1, {"x", "p"}).ok());
+  ASSERT_TRUE(db.InsertText(1, {"z", "q"}).ok());
+  ASSERT_TRUE(db.InsertText(2, {"t"}).ok());
+  Result<ConjunctiveQuery> query =
+      ParseQuery("Q(a, b, c) :- R(a, b), S(b, c)", db.schema(), db.dict());
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  std::vector<const ConjunctiveQuery*> queries = {&*query};
+  Result<VseInstance> instance = VseInstance::Create(db, queries);
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  DataForest forest = BuildFromInstance(*instance);
+  ASSERT_EQ(forest.node_count(), 4u);
+  for (TupleRef ref : {TupleRef{0, 0}, TupleRef{0, 2}, TupleRef{1, 0},
+                       TupleRef{1, 1}}) {
+    EXPECT_TRUE(forest.NodeOf(ref).has_value())
+        << ref.relation << ":" << ref.row;
+  }
+  EXPECT_FALSE(forest.NodeOf(TupleRef{0, 1}).has_value()) << "in no witness";
+  EXPECT_FALSE(forest.NodeOf(TupleRef{0, 3}).has_value()) << "past the table";
+  EXPECT_FALSE(forest.NodeOf(TupleRef{2, 0}).has_value())
+      << "relation in no query";
+  EXPECT_FALSE(forest.NodeOf(TupleRef{99, 0}).has_value())
+      << "unknown relation";
+}
+
+TEST(DataForestTest, LeafFirstQueryTriesSeveralPivotCandidates) {
+  // A three-level chain whose first atom is the leaf level: each component's
+  // first-touched node is then a leaf, and its next one a middle node —
+  // neither a pivot — so the search reaches the root only on its third try.
+  Rng rng(17);
+  PathSchemaParams params;
+  params.levels = 3;
+  params.roots = 2;
+  params.fanout = 2;
+  params.query_intervals = {{0, 2}};
+  params.deletion_fraction = 0.0;
+  Result<GeneratedVse> generated = GeneratePathSchema(rng, params);
+  ASSERT_TRUE(generated.ok());
+  Database& db = *generated->database;
+  Result<ConjunctiveQuery> query = ParseQuery(
+      "R(x2, x1, x0, w2, w1, w0) :- L2(x2, x1, w2), L1(x1, x0, w1), "
+      "L0(x0, w0)",
+      db.schema(), db.dict());
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  std::vector<const ConjunctiveQuery*> queries = {&*query};
+  Result<VseInstance> instance = VseInstance::Create(db, queries);
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  DataForest forest = BuildFromInstance(*instance);
+  ASSERT_TRUE(forest.is_forest());
+  ASSERT_EQ(forest.node_count(), 14u);
+  ASSERT_EQ(forest.component_count(), 2u);
+  RelationId l0 = *db.schema().FindRelation("L0");
+  RelationId l2 = *db.schema().FindRelation("L2");
+  EXPECT_EQ(forest.node_ref(0).relation, l2) << "a leaf is touched first";
+
+  std::optional<std::vector<size_t>> pivots = forest.FindPivotRoots();
+  ASSERT_TRUE(pivots.has_value());
+  EXPECT_EQ(*pivots, (std::vector<size_t>{2, 9}));
+  for (size_t pivot : *pivots) {
+    EXPECT_EQ(forest.node_ref(pivot).relation, l0);
+  }
+  DataForest::Rooting rooting = forest.RootAt(*pivots);
+  for (const ForestWitness& witness : forest.witnesses()) {
+    EXPECT_TRUE(forest.WitnessIsVerticalPath(witness, rooting));
+  }
+  // Rooted at its first-touched leaf, component 0 has no vertical witness
+  // of three nodes.
+  DataForest::Rooting at_leaf = forest.RootAt({0, *pivots->rbegin()});
+  EXPECT_FALSE(forest.WitnessIsVerticalPath(forest.witnesses()[1], at_leaf));
 }
 
 TEST(DataForestTest, LcaOnChain) {

@@ -3,6 +3,7 @@
 #include "common/rng.h"
 #include "solvers/dp_tree_solver.h"
 #include "solvers/exact_solver.h"
+#include "solvers/primal_dual_tree_solver.h"
 #include "workload/path_schema.h"
 #include "workload/star_schema.h"
 
@@ -145,6 +146,59 @@ TEST(DpTreeTest, BalancedNeverExceedsDoingNothing) {
       do_nothing += instance.weight(id);
     }
     EXPECT_LE(solution->BalancedCost(), do_nothing + 1e-9) << "seed " << seed;
+  }
+}
+
+TEST(DpTreeTest, FeasibleWhenOptimumReachesOneE17) {
+  // ΔV = {(0, 0)}; every other view tuple weighs scale × {1.0, 1.1, 1.2}.
+  // The optimum (1.1 × scale) once reached the old 1e17 "infeasible"
+  // sentinel, at which dp-tree reported Infeasible; at 1e16 it never did.
+  for (double scale : {1e16, 1e17}) {
+    Result<GeneratedVse> generated = PivotInstance(5, 3, 2, 2, 0.0);
+    ASSERT_TRUE(generated.ok());
+    VseInstance& instance = *generated->instance;
+    ASSERT_TRUE(instance.MarkForDeletion(ViewTupleId{0, 0}).ok());
+    for (size_t v = 0; v < instance.view_count(); ++v) {
+      for (size_t t = 0; t < instance.view(v).size(); ++t) {
+        if (v == 0 && t == 0) continue;
+        double weight = scale * (1.0 + 0.1 * static_cast<double>((v + t) % 3));
+        ASSERT_TRUE(instance.SetWeight(ViewTupleId{v, t}, weight).ok());
+      }
+    }
+    DpTreeSolver dp;
+    PrimalDualTreeSolver primal_dual;
+    Result<VseSolution> dp_solution = dp.Solve(instance);
+    Result<VseSolution> pd_solution = primal_dual.Solve(instance);
+    ASSERT_TRUE(dp_solution.ok())
+        << "scale " << scale << ": " << dp_solution.status().ToString();
+    ASSERT_TRUE(pd_solution.ok());
+    EXPECT_TRUE(dp_solution->Feasible()) << "scale " << scale;
+    EXPECT_EQ(dp_solution->Cost(), pd_solution->Cost()) << "scale " << scale;
+    EXPECT_EQ(dp_solution->Cost(), 1.1 * scale) << "scale " << scale;
+  }
+}
+
+TEST(DpTreeTest, ZeroWeightDeltaTuplesAreStillEliminated) {
+  // A ΔV tuple's weight does not make it optional: with every ΔV weight 0,
+  // the DP must still eliminate ΔV, at the exact optimum.
+  for (uint64_t seed = 0; seed < 5; ++seed) {
+    Result<GeneratedVse> generated = PivotInstance(400 + seed, 3, 2, 2, 0.3);
+    ASSERT_TRUE(generated.ok());
+    VseInstance& instance = *generated->instance;
+    ASSERT_GT(instance.TotalDeletionTuples(), 0u);
+    std::vector<ViewTupleId> delta_v = instance.deletion_tuples();
+    for (const ViewTupleId& id : delta_v) {
+      ASSERT_TRUE(instance.SetWeight(id, 0.0).ok());
+    }
+    DpTreeSolver dp;
+    ExactSolver exact;
+    Result<VseSolution> dp_solution = dp.Solve(instance);
+    Result<VseSolution> exact_solution = exact.Solve(instance);
+    ASSERT_TRUE(dp_solution.ok()) << dp_solution.status().ToString();
+    ASSERT_TRUE(exact_solution.ok());
+    EXPECT_TRUE(dp_solution->Feasible()) << "seed " << seed;
+    EXPECT_NEAR(dp_solution->Cost(), exact_solution->Cost(), 1e-9)
+        << "seed " << seed;
   }
 }
 

@@ -99,6 +99,22 @@ TEST(ScriptTest, NaNWeightRejected) {
   EXPECT_NE(out.find("view side-effect: 4"), std::string::npos) << out;
 }
 
+TEST(ScriptTest, InfWeightRejected) {
+  ScriptSession session;
+  std::string out;
+  ASSERT_TRUE(session.Run(kFig1Setup, &out).ok());
+  Status status =
+      session.Run("delete Q3(John, XML)\nweight Q3(Joe, XML) inf", &out);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("Q3(Joe, XML)"), std::string::npos)
+      << status.message();
+  // The rejected line left the weight alone: the optimum is still 4.
+  out.clear();
+  ASSERT_TRUE(session.Run("solve exact", &out).ok()) << out;
+  EXPECT_NE(out.find("eliminates all of ΔV: yes"), std::string::npos) << out;
+  EXPECT_NE(out.find("view side-effect: 4"), std::string::npos) << out;
+}
+
 TEST(ScriptTest, PhaseViolationsRejected) {
   ScriptSession session;
   std::string out;

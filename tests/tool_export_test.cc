@@ -11,6 +11,7 @@
 #include "tool/dot_export.h"
 #include "workload/author_journal.h"
 #include "workload/path_schema.h"
+#include "workload/star_schema.h"
 
 namespace delprop {
 namespace {
@@ -75,6 +76,98 @@ TEST(DotExportTest, DataForestHighlightsPivots) {
   EXPECT_NE(dot.find("cluster_1"), std::string::npos) << "two components";
   EXPECT_NE(dot.find("doublecircle"), std::string::npos) << "pivot markers";
   EXPECT_NE(dot.find(" -- "), std::string::npos);
+}
+
+// Golden DataForestToDot output: pins node numbering (first touch over
+// view, tuple, witness, member), component ids, pivots and edge order.
+constexpr const char* kPathForestDot = R"dot(graph data_forest {
+  subgraph cluster_0 {
+    label="component 0";
+    n0 [label="L0(n0_0, p994)", shape=doublecircle, color=blue];
+    n1 [label="L1(n1_0, n0_0, p638)"];
+    n2 [label="L2(n2_0, n1_0, p716)"];
+    n3 [label="L2(n2_1, n1_0, p196)"];
+    n4 [label="L1(n1_1, n0_0, p664)"];
+    n5 [label="L2(n2_2, n1_1, p408)"];
+    n6 [label="L2(n2_3, n1_1, p619)"];
+  }
+  subgraph cluster_1 {
+    label="component 1";
+    n7 [label="L0(n0_1, p674)", shape=doublecircle, color=blue];
+    n8 [label="L1(n1_2, n0_1, p664)"];
+    n9 [label="L2(n2_4, n1_2, p303)"];
+    n10 [label="L2(n2_5, n1_2, p896)"];
+    n11 [label="L1(n1_3, n0_1, p721)"];
+    n12 [label="L2(n2_6, n1_3, p697)"];
+    n13 [label="L2(n2_7, n1_3, p751)"];
+  }
+  n0 -- n1;
+  n0 -- n4;
+  n1 -- n2;
+  n1 -- n3;
+  n4 -- n5;
+  n4 -- n6;
+  n7 -- n8;
+  n7 -- n11;
+  n8 -- n9;
+  n8 -- n10;
+  n11 -- n12;
+  n11 -- n13;
+}
+)dot";
+
+constexpr const char* kStarForestDot = R"dot(graph data_forest {
+  subgraph cluster_0 {
+    label="component 0";
+    n0 [label="F(f3, d0_0, d1_1)"];
+    n1 [label="D0(d0_0, p610)", shape=doublecircle, color=blue];
+    n2 [label="D1(d1_1, p406)"];
+  }
+  subgraph cluster_1 {
+    label="component 1";
+    n3 [label="F(f0, d0_1, d1_2)"];
+    n4 [label="D0(d0_1, p743)", shape=doublecircle, color=blue];
+    n5 [label="D1(d1_2, p367)"];
+    n6 [label="F(f1, d0_2, d1_2)"];
+    n7 [label="D0(d0_2, p184)"];
+    n8 [label="F(f2, d0_2, d1_0)"];
+    n9 [label="D1(d1_0, p670)"];
+  }
+  n0 -- n1;
+  n0 -- n2;
+  n3 -- n4;
+  n3 -- n5;
+  n5 -- n6;
+  n6 -- n7;
+  n7 -- n8;
+  n8 -- n9;
+}
+)dot";
+
+TEST(DotExportTest, DataForestMatchesGolden) {
+  {
+    Rng rng(7);
+    PathSchemaParams params;
+    params.levels = 3;
+    params.roots = 2;
+    params.fanout = 2;
+    Result<GeneratedVse> generated = GeneratePathSchema(rng, params);
+    ASSERT_TRUE(generated.ok());
+    EXPECT_EQ(DataForestToDot(*generated->instance), kPathForestDot);
+  }
+  {
+    // The star's second component is a chain whose first-touched node, a
+    // fact, is not a pivot.
+    Rng rng(13);
+    StarSchemaParams params;
+    params.dimensions = 2;
+    params.dimension_rows = 3;
+    params.fact_rows = 4;
+    params.query_dimension_sets = {{0, 1}};
+    Result<GeneratedVse> generated = GenerateStarSchema(rng, params);
+    ASSERT_TRUE(generated.ok());
+    EXPECT_EQ(DataForestToDot(*generated->instance), kStarForestDot);
+  }
 }
 
 TEST(DotExportTest, DualHypergraphColorsQueries) {

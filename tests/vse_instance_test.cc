@@ -162,7 +162,7 @@ TEST_F(Fig1Test, WeightsDefaultAndSet) {
   EXPECT_FALSE(instance().SetWeight(ViewTupleId{9, 0}, 1.0).ok());
 }
 
-TEST_F(Fig1Test, SetWeightRejectsNaNAndAcceptsSignedZeroAndInfinity) {
+TEST_F(Fig1Test, SetWeightRejectsNaNAndInfinityAndAcceptsSignedZero) {
   ViewTupleId id{0, 0};
   Status nan =
       instance().SetWeight(id, std::numeric_limits<double>::quiet_NaN());
@@ -175,9 +175,14 @@ TEST_F(Fig1Test, SetWeightRejectsNaNAndAcceptsSignedZeroAndInfinity) {
 
   ASSERT_TRUE(instance().SetWeight(id, -0.0).ok());
   EXPECT_EQ(instance().weight(id), 0.0);
-  ASSERT_TRUE(
-      instance().SetWeight(id, std::numeric_limits<double>::infinity()).ok());
-  EXPECT_EQ(instance().weight(id), std::numeric_limits<double>::infinity());
+  // +inf is rejected like NaN, naming the view tuple, and leaves the weight.
+  Status inf =
+      instance().SetWeight(id, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(inf.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(inf.message().find(instance().RenderViewTuple(id)),
+            std::string::npos)
+      << inf.message();
+  EXPECT_EQ(instance().weight(id), 0.0);
   EXPECT_EQ(instance().SetWeight(id, -0.5).code(),
             StatusCode::kInvalidArgument);
 }
