@@ -74,7 +74,7 @@ rm -f bench_last_output.txt
 # "<hash>-dirty" git id into a committed snapshot.
 cmake -B build-bench -G Ninja -DCMAKE_BUILD_TYPE=Release
 cmake --build build-bench --target bench_solver_comparison \
-  bench_substrate_runtime bench_engine_throughput bench_incremental
+  bench_substrate_runtime bench_engine_throughput
 ./build-bench/bench/bench_solver_comparison --threads 1 --repeat 5 --warmup 1 \
   --json BENCH_solver_comparison.json
 ./build-bench/bench/bench_substrate_runtime --threads 1 \
@@ -85,10 +85,6 @@ cmake --build build-bench --target bench_solver_comparison \
 # nonzero if any mode's result fingerprint disagrees.
 ./build-bench/bench/bench_engine_throughput --threads 4 --requests 1000 \
   --family large --json BENCH_engine_throughput.json
-# Live-data headline (per-delta ApplyDelta vs full rebuild on the scaling
-# family); exits nonzero if the two arms' result fingerprints disagree.
-./build-bench/bench/bench_incremental --deltas 64 --family large \
-  --json BENCH_incremental.json
 # The repository benchmark (perfbench/, BENCHMARK.json) builds the library
 # from src/ on its own; its smoke test runs every workload at 1x, untraced
 # and traced, and fails on a build break, a failed answer verification or a

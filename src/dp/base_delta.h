@@ -41,22 +41,15 @@ struct ApplyDeltaOptions {
   /// untouched; off by default because removing view tuples is the point of
   /// deletion propagation.
   bool forbid_witnessed_deletes = false;
-  /// Patch-vs-rebuild threshold: the compiled PlanCore is spliced from the
-  /// previous core while (removed + added) witnesses stay within this
-  /// fraction of the old witness count; larger deltas drop the core and the
-  /// next compiled() pays a counted full rebuild instead.
-  double patch_threshold = 0.5;
 };
 
-/// What one ApplyDelta did: the size of the induced view delta and which
-/// plan-maintenance path ran.
+/// What one ApplyDelta did: the size of the induced view delta. A delta
+/// with any added or removed witness drops the compiled PlanCore.
 struct ApplyDeltaReport {
   size_t view_tuples_added = 0;
   size_t view_tuples_removed = 0;
   size_t witnesses_added = 0;
   size_t witnesses_removed = 0;
-  bool core_patched = false;  // PlanCore spliced from the previous core
-  bool core_rebuilt = false;  // threshold exceeded: core dropped for rebuild
 };
 
 namespace internal {

@@ -351,8 +351,7 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
     return Status::Ok();
   }
   // The pre-delta core, built first if none is cached: its kill rows answer
-  // every "which view tuples use this row" lookup below, and the patch is
-  // phrased in its (old) dense ids.
+  // every "which view tuples use this row" lookup below.
   std::shared_ptr<const PlanCore> old_core = CurrentCore();
   if (Status s = ValidateDelta(database, delta, options, *old_core); !s.ok()) {
     return s;
@@ -372,62 +371,33 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
   affected.erase(std::unique(affected.begin(), affected.end()),
                  affected.end());
 
-  // Which (old) witnesses each affected tuple lost — the input to the core
-  // patch — plus the per-view dead-tuple lists driving the compaction.
-  struct WitnessRemoval {
-    ViewTupleId id;  // pre-compaction id
-    std::vector<size_t> ordinals;
-    bool tuple_died = false;
-  };
-  std::vector<WitnessRemoval> removals;
+  // Compact each affected tuple's surviving witnesses in order; a tuple
+  // left with none is gone and joins the per-view dead lists.
   TupleRemap remap(structure.views.size());
   for (const ViewTupleId& id : affected) {
     std::vector<Witness>& witnesses =
         structure.views[id.view].MutableWitnesses(id.tuple);
-    WitnessRemoval removal;
-    removal.id = id;
-    for (size_t w = 0; w < witnesses.size(); ++w) {
-      if (WitnessHits(witnesses[w], deleted)) removal.ordinals.push_back(w);
-    }
-    out.witnesses_removed += removal.ordinals.size();
     size_t before = witnesses.size();
-    if (removal.ordinals.size() == before) {
-      // Every witness hit: the view tuple is gone; it is compacted away
-      // below.
-      removal.tuple_died = true;
+    witnesses.erase(std::remove_if(witnesses.begin(), witnesses.end(),
+                                   [&deleted](const Witness& witness) {
+                                     return WitnessHits(witness, deleted);
+                                   }),
+                    witnesses.end());
+    out.witnesses_removed += before - witnesses.size();
+    if (before > 1 && witnesses.size() <= 1) {
+      --structure.multi_witness_tuples;
+    }
+    if (witnesses.empty()) {
       remap.MarkDead(id);
       ++out.view_tuples_removed;
-    } else {
-      // Compact the surviving witnesses in order.
-      size_t write = 0;
-      size_t next = 0;
-      for (size_t w = 0; w < witnesses.size(); ++w) {
-        if (next < removal.ordinals.size() && removal.ordinals[next] == w) {
-          ++next;
-          continue;
-        }
-        if (write != w) witnesses[write] = std::move(witnesses[w]);
-        ++write;
-      }
-      witnesses.resize(write);
-      if (before > 1 && witnesses.size() <= 1) {
-        --structure.multi_witness_tuples;
-      }
     }
-    removals.push_back(std::move(removal));
   }
 
   // ---- Compact dead tuples and re-index everything keyed by tuple id. ----
   if (remap.any()) {
     for (size_t v = 0; v < structure.views.size(); ++v) {
       const std::vector<size_t>& dead = remap.dead(v);
-      if (dead.empty()) continue;
-      for (size_t t : dead) {
-        if (structure.views[v].tuple(t).witnesses.size() > 1) {
-          --structure.multi_witness_tuples;
-        }
-      }
-      structure.views[v].RemoveTuples(dead);
+      if (!dead.empty()) structure.views[v].RemoveTuples(dead);
     }
     // ΔV: marks on dead tuples became facts of the base data; survivors
     // shift. Both preserve sortedness (shifts are monotone within a view).
@@ -494,44 +464,19 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
 
   ++structure.epoch;
 
-  // ---- Plan maintenance: patch the core, or drop it past the threshold. --
-  std::lock_guard<std::mutex> lock(caches_->mu);
-  if (caches_->compiled != nullptr) {
-    caches_->retired = std::move(caches_->compiled);
+  // ---- Plan maintenance: drop the core if any witness changed. ----------
+  // BuildCore is the core's only writer, so the next compiled() rebuilds it.
+  // A delta that changed no witness (inserts that join nothing, deletes of
+  // rows outside every witness) leaves the core exact: keep it.
+  if (out.witnesses_removed + out.witnesses_added == 0) {
+    InvalidateOverlayCaches();
+  } else {
+    std::lock_guard<std::mutex> lock(caches_->mu);
     caches_->compiled.reset();
-  }
-  size_t changed = out.witnesses_removed + out.witnesses_added;
-  double budget =
-      options.patch_threshold * static_cast<double>(old_core->witness_count());
-  if (static_cast<double>(changed) <= budget && changed > 0) {
-    CoreDelta core_delta;
-    core_delta.tuple_removed.assign(old_core->tuple_count(), 0);
-    core_delta.witness_removed.assign(old_core->witness_count(), 0);
-    for (const WitnessRemoval& removal : removals) {
-      uint32_t dense = old_core->view_first[removal.id.view] +
-                       static_cast<uint32_t>(removal.id.tuple);
-      uint32_t witness_base = old_core->tuple_witness_first[dense];
-      for (size_t ordinal : removal.ordinals) {
-        core_delta.witness_removed[witness_base + ordinal] = 1;
-      }
-      core_delta.removed_witness_count += removal.ordinals.size();
-      if (removal.tuple_died) {
-        core_delta.tuple_removed[dense] = 1;
-        ++core_delta.removed_tuple_count;
-      }
-    }
-    caches_->plan_core =
-        CompiledInstance::PatchCore(*old_core, *this, core_delta);
-    ++caches_->plan_stats.core_patches;
-    out.core_patched = true;
-  } else if (changed > 0) {
-    caches_->plan_core.reset();
     caches_->retired.reset();
+    caches_->plan_core.reset();
     ++caches_->plan_stats.core_patch_fallbacks;
-    out.core_rebuilt = true;
   }
-  // changed == 0 (pure base deletes outside every witness): the core is
-  // untouched by construction, keep it as-is.
 
   if (report != nullptr) *report = out;
   return Status::Ok();
@@ -606,45 +551,13 @@ Status VseInstance::SetWeight(const ViewTupleId& id, double weight) {
                                    "got " + std::to_string(weight));
   }
   weights_[id] = weight;
-  // Weights live in the plan core; patch it instead of discarding it — a
-  // reweight on a served instance must not throw away the structure every
-  // replica shares. The ΔV overlay is untouched by weight changes.
+  // Weights live in the plan core, which only BuildCore writes: drop the
+  // plan, the retired plan and the core, and let the next compiled()
+  // rebuild. Replicas and in-flight solvers keep the core they hold.
   std::lock_guard<std::mutex> lock(caches_->mu);
-  if (caches_->plan_core == nullptr) return Status::Ok();
-  uint32_t dense =
-      caches_->plan_core->view_first[id.view] + static_cast<uint32_t>(id.tuple);
-  // Count the core references this cache itself holds; anything beyond them
-  // (replicas, in-flight solvers) must keep reading the frozen weights.
-  long internal_refs = 1;
-  if (caches_->compiled != nullptr &&
-      caches_->compiled->core() == caches_->plan_core) {
-    ++internal_refs;
-  }
-  if (caches_->retired != nullptr &&
-      caches_->retired->core() == caches_->plan_core) {
-    ++internal_refs;
-  }
-  bool sole_owner =
-      caches_->plan_core.use_count() == internal_refs &&
-      (caches_->compiled == nullptr || caches_->compiled.use_count() == 1) &&
-      (caches_->retired == nullptr || caches_->retired.use_count() == 1);
-  if (sole_owner) {
-    // Nothing outside this cache can observe the core: edit in place. The
-    // current compiled plan shares the array, so it sees the new weight too.
-    const_cast<PlanCore&>(*caches_->plan_core).weight[dense] = weight;
-    ++caches_->plan_stats.weight_patches;
-  } else {
-    auto clone = std::make_shared<PlanCore>(*caches_->plan_core);
-    clone->weight[dense] = weight;
-    caches_->plan_core = std::move(clone);
-    // The current plan still references the old core; retire it so the next
-    // compiled() recycles its overlay buffers (dimensions are unchanged).
-    if (caches_->compiled != nullptr) {
-      caches_->retired = std::move(caches_->compiled);
-      caches_->compiled.reset();
-    }
-    ++caches_->plan_stats.core_clones;
-  }
+  caches_->compiled.reset();
+  caches_->retired.reset();
+  caches_->plan_core.reset();
   return Status::Ok();
 }
 

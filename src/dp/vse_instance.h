@@ -50,10 +50,10 @@ struct PlanBuildStats {
   size_t full_builds = 0;       // core + overlay built from scratch
   size_t core_rebinds = 0;      // overlay rebuilt over a kept core
   size_t overlay_recycles = 0;  // of those, overlay buffers recycled
-  size_t core_patches = 0;      // ApplyDelta spliced a core from the old one
-  size_t core_patch_fallbacks = 0;  // delta past threshold: core dropped
-  size_t weight_patches = 0;    // SetWeight edited the core weight in place
-  size_t core_clones = 0;       // SetWeight on a shared core: clone + patch
+  // Always 0: nothing patches a core any more. Kept because the
+  // benchmark's per-layer report reads it.
+  size_t core_patches = 0;
+  size_t core_patch_fallbacks = 0;  // ApplyDelta calls that dropped the core
 };
 
 namespace internal {
@@ -86,7 +86,9 @@ struct ViewStructure {
 ///
 /// ΔV-only mutations keep `plan_core` (the ΔV-independent half of the plan)
 /// and park the dropped plan in `retired`, whose overlay buffers the next
-/// compiled() recycles when nothing else still references them.
+/// compiled() recycles when nothing else still references them. A base
+/// delta that changes a witness, and every SetWeight, drop all three, so
+/// the next compiled() rebuilds the core from scratch.
 struct VseInstanceCaches {
   std::mutex mu;
   std::shared_ptr<const CompiledInstance> compiled;
@@ -104,7 +106,7 @@ struct VseInstanceCaches {
 /// The instance is built once (views are materialized with lineage at
 /// creation) and then deletions are marked on it; solvers treat it as
 /// read-only. Live base data is supported through ApplyDelta, which
-/// delta-updates the views and compiled plan instead of rebuilding them.
+/// delta-updates the views instead of re-evaluating the queries.
 class VseInstance {
  public:
   /// Materializes Qi(D) for every query. The database and the queries must
@@ -150,16 +152,16 @@ class VseInstance {
   /// instance's own database — it is taken non-const here precisely because
   /// creation only borrowed it read-only), rows in `delta.deletes` join the
   /// instance's base mask, and the materialized views, all_unique_witness
-  /// tally, ΔV marks, weights, and compiled plan are all delta-updated in
-  /// place. The result is byte-identical to re-indexing the live views
-  /// (CreateFromMaterializedViews); a fresh Create over the mutated database
-  /// agrees only as sets, since tuples an insert creates are appended to
-  /// their view. The mutate-vs-rebuild oracle in testing/mutation.h checks
-  /// both.
+  /// tally, ΔV marks and weights are all delta-updated in place. The result
+  /// is byte-identical to re-indexing the live views
+  /// (CreateFromMaterializedViews); a fresh Create over the mutated
+  /// database agrees only as sets, since tuples an insert creates are
+  /// appended to their view. The mutate-vs-rebuild oracle in
+  /// testing/mutation.h checks both.
   ///
   /// Cost: a delete touches only the view tuples in its rows' kill rows,
-  /// but compacting a view that lost a tuple and patching the core are
-  /// linear in ‖V‖ and the core. Inserts are joined by
+  /// but compacting a view that lost a tuple is linear in ‖V‖, and so is
+  /// the core rebuild the next compiled() pays. Inserts are joined by
   /// internal::CollectDeltaMatches, which scans every non-pivot atom's
   /// relation per partial match (no index).
   ///
@@ -171,8 +173,14 @@ class VseInstance {
   ///
   /// The view tuples a delete touches are read from the pre-delta plan
   /// core's kill rows; an instance without a cached core (never compiled,
-  /// or dropped by the patch-threshold fallback) first pays the lazy full
+  /// or dropped by an earlier delta or SetWeight) first pays the lazy full
   /// build of compiled(), counted in plan_stats().full_builds.
+  ///
+  /// Plan maintenance: a delta that adds or removes any witness drops the
+  /// compiled plan, the retired plan and the core (counted in
+  /// plan_stats().core_patch_fallbacks), and the next compiled() rebuilds
+  /// the core once. A delta that changes no witness keeps the core and
+  /// rebuilds only the ΔV overlay.
   ///
   /// ΔV marks on view tuples that lose their last witness are dropped (the
   /// deletion became a fact of the base data); marks on surviving tuples are
@@ -203,11 +211,12 @@ class VseInstance {
 
   /// Sets the preservation weight of a view tuple (default 1). Weights matter
   /// only for preserved tuples in the standard objective; the balanced
-  /// objective also uses weights of ΔV tuples. The compiled plan's core is
-  /// patched in place (or cloned when replicas share it) instead of being
-  /// rebuilt — `plan_stats()` counts these as weight_patches/core_clones,
-  /// never as full_builds. A negative, NaN or infinite weight fails with
-  /// InvalidArgument naming the view tuple; -0.0 is accepted.
+  /// objective also uses weights of ΔV tuples. Weights live in the plan
+  /// core, so this drops the compiled plan and its core; the next
+  /// compiled() pays one full build, however many weights changed since.
+  /// Replicas and plans already handed out keep the old weights. A
+  /// negative, NaN or infinite weight fails with InvalidArgument naming the
+  /// view tuple; -0.0 is accepted.
   Status SetWeight(const ViewTupleId& id, double weight);
 
   const Database& database() const { return *database_; }
@@ -238,11 +247,11 @@ class VseInstance {
   /// The dense compiled plan of this instance (see plan/compiled_instance.h):
   /// integer-interned ids plus CSR incidence arrays for every solver hot
   /// path. Built lazily on first use, cached, and shared read-only across
-  /// threads; invalidated by MarkForDeletion / ApplyDelta.
+  /// threads; invalidated by MarkForDeletion / ApplyDelta / SetWeight.
   std::shared_ptr<const CompiledInstance> compiled() const;
 
   /// How this instance's compiled plans were produced so far (full builds
-  /// vs overlay-only rebinds vs buffer recycles vs delta patches). Snapshot
+  /// vs overlay-only rebinds vs buffer recycles vs dropped cores). Snapshot
   /// under the cache lock; counters only ever grow.
   PlanBuildStats plan_stats() const;
 

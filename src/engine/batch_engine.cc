@@ -264,9 +264,10 @@ Status BatchSolveEngine::ApplyDelta(Database& database, const BaseDelta& delta,
   }
   Status applied = primary_->ApplyDelta(database, delta, delta_options,
                                         report);
-  // Recompile once on the primary (patched core + fresh overlay), then hand
-  // the result to every worker — on validation failure the primary is
-  // unchanged and this simply restores the fleet.
+  // Recompile once on the primary (a rebuilt core if the delta changed a
+  // witness, and a fresh overlay), then hand the result to every worker —
+  // on validation failure the primary is unchanged and this simply
+  // restores the fleet.
   (void)primary_->compiled();
   for (std::unique_ptr<Worker>& worker : workers_) {
     worker->replica.emplace(primary_->Replicate());

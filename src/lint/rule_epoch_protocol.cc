@@ -82,16 +82,15 @@ void EpochProtocolRule::Check(const SourceFile& file,
       }
     }
 
-    // Check 2 — every VseInstance mutator must invalidate or patch the
-    // compiled plan. Accepted evidence: a call to InvalidateOverlayCaches
-    // or PatchCore, delegation to another mutator, or direct plan_core
-    // maintenance (the SetWeight in-place patch).
+    // Check 2 — every VseInstance mutator must invalidate the compiled
+    // plan. Accepted evidence: a call to InvalidateOverlayCaches,
+    // delegation to another mutator, or direct plan_core maintenance (the
+    // core drop in ApplyDelta and SetWeight).
     if (fn.class_name == "VseInstance" && Mutators().count(fn.name) > 0) {
       bool evidence = false;
       for (size_t k = fn.body_begin; k < fn.body_end && !evidence; ++k) {
         if (!IsIdent(toks[k])) continue;
-        if (IsCall(toks, k, "InvalidateOverlayCaches") ||
-            IsCall(toks, k, "PatchCore")) {
+        if (IsCall(toks, k, "InvalidateOverlayCaches")) {
           evidence = true;
         } else if (Mutators().count(toks[k].text) > 0 &&
                    toks[k].text != fn.name && k + 1 < fn.body_end &&
@@ -105,9 +104,9 @@ void EpochProtocolRule::Check(const SourceFile& file,
         out->push_back(Diagnostic{
             file.path(), fn.line, std::string(name()),
             "VseInstance::" + fn.name +
-                " mutates instance state without invalidating or patching "
-                "the compiled plan — call InvalidateOverlayCaches(), patch "
-                "via PatchCore, or delegate to a mutator that does"});
+                " mutates instance state without invalidating the compiled "
+                "plan — call InvalidateOverlayCaches(), drop plan_core, or "
+                "delegate to a mutator that does"});
       }
     }
 

@@ -50,12 +50,10 @@ SharedCoreMutationRule::SharedCoreMutationRule(
       submit_exempt_paths_(std::move(submit_exempt_paths)) {}
 
 std::vector<std::string> SharedCoreMutationRule::DefaultMutationPoints() {
-  // BuildCore/FinishCore/PatchCore assemble or splice a fresh core before
-  // publication; Build/BuildFromCore own the overlay (including the
-  // sole-owner recycle const_cast); SetWeight is the in-place weight patch
-  // (docs/perf.md "Weight patching").
-  return {"BuildCore", "FinishCore", "PatchCore",
-          "BuildFromCore", "Build", "SetWeight"};
+  // BuildCore/FinishCore assemble a fresh core before publication, and
+  // nothing writes it after; Build/BuildFromCore own the overlay (including
+  // the sole-owner recycle const_cast).
+  return {"BuildCore", "FinishCore", "BuildFromCore", "Build"};
 }
 
 bool SharedCoreMutationRule::Allowlisted(const SourceFile& file,
@@ -95,7 +93,7 @@ void SharedCoreMutationRule::Check(const SourceFile& file,
             file.path(), toks[i].line, std::string(name()),
             "const_cast to mutable " + std::string(toks[i].text) +
                 " outside a sanctioned mutation point (allowed: BuildCore/"
-                "FinishCore/PatchCore/BuildFromCore/Build/SetWeight)"});
+                "FinishCore/BuildFromCore/Build)"});
       }
       continue;
     }
@@ -164,7 +162,7 @@ void SharedCoreMutationRule::Check(const SourceFile& file,
           file.path(), toks[i].line, std::string(name()),
           detail + " on shared-core variable '" + std::string(toks[i].text) +
               "' outside a sanctioned mutation point (allowed: BuildCore/"
-              "FinishCore/PatchCore/BuildFromCore/Build/SetWeight)"});
+              "FinishCore/BuildFromCore/Build)"});
     }
   }
 

@@ -171,8 +171,8 @@ class HotPathAllocationRule : public Rule {
 /// shared-core-mutation: a write to `PlanCore`/`CompiledInstance` state
 /// outside the sanctioned mutation points. The compiled core is shared
 /// immutably across worker replicas; every legal mutation lives in
-/// `BuildCore`/`FinishCore`/`PatchCore`/`BuildFromCore`/`Build` or the
-/// sole-owner weight patch in `SetWeight`. Tracked forms: mutable
+/// `BuildCore`/`FinishCore` (the core's only writers) or
+/// `BuildFromCore`/`Build` (the overlay). Tracked forms: mutable
 /// declarations (`PlanCore*`, `PlanCore&`, non-const `shared_ptr<...>`)
 /// whose variables are later assigned through or passed to mutating
 /// methods, and any `const_cast` that strips const from a core type. Also
@@ -213,10 +213,10 @@ class SharedCoreMutationRule : public Rule {
 /// `plan_.reset()`), the Rebind/ReleasePlan pairing that lets retired plans
 /// recycle their overlay buffers; (2) every `VseInstance` mutator
 /// (`ApplyDelta`, `SetWeight`, `MarkForDeletion`, `MarkForDeletionByValues`,
-/// `ResetDeletions`) must invalidate or patch the compiled plan
-/// (`InvalidateOverlayCaches`/`PatchCore`/delegation/direct `plan_core`
-/// maintenance); (3) a body advancing `core_epoch_` must also clear the
-/// memo cache — stale entries must not cross the epoch.
+/// `ResetDeletions`) must invalidate the compiled plan
+/// (`InvalidateOverlayCaches`/delegation/direct `plan_core` maintenance);
+/// (3) a body advancing `core_epoch_` must also clear the memo cache —
+/// stale entries must not cross the epoch.
 class EpochProtocolRule : public Rule {
  public:
   explicit EpochProtocolRule(

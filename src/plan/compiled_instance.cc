@@ -16,20 +16,20 @@ uint32_t CompiledInstance::FindBase(const TupleRef& ref) const {
 
 namespace {
 
-/// Shared tail of BuildCore and PatchCore: derives the occurrence and kill
-/// CSR arrays from the witness member rows. Appending in ascending wid order
-/// leaves every per-base occurrence row sorted by (tuple, witness) — the
-/// invariant MarginalDamage relies on to walk runs — and the kill rows are
-/// its per-base run-dedup.
+/// Tail of BuildCore: derives the occurrence and kill CSR arrays from the
+/// witness member rows. Appending in ascending wid order leaves every
+/// per-base occurrence row sorted by (tuple, witness) — the invariant
+/// MarginalDamage relies on to walk runs — and the kill rows are its
+/// per-base run-dedup.
 void FinishCore(PlanCore* core) {
   uint32_t base_count = core->base_count();
   uint32_t witness_count = core->witness_count();
   core->base_occ_first.assign(static_cast<size_t>(base_count) + 1, 0);
   // Deduped member lists, flattened: computed once in the counting pass and
-  // replayed by the fill pass (this function runs on every core patch, so
-  // the per-witness sorts are worth paying only once). A witness whose
-  // members are already strictly ascending — every schema without
-  // self-joins — skips the sort entirely.
+  // replayed by the fill pass (this function runs on every core rebuild
+  // after a base delta, so the per-witness sorts are worth paying only
+  // once). A witness whose members are already strictly ascending — every
+  // schema without self-joins — skips the sort entirely.
   std::vector<uint32_t> dedup;
   dedup.reserve(core->witness_member_base.size());
   std::vector<uint32_t> dedup_first(static_cast<size_t>(witness_count) + 1,
@@ -232,235 +232,6 @@ std::shared_ptr<const PlanCore> BuildCore(const VseInstance& instance) {
 
 }  // namespace
 
-std::shared_ptr<const PlanCore> CompiledInstance::PatchCore(
-    const PlanCore& old_core, const VseInstance& instance,
-    const CoreDelta& delta) {
-  auto core = std::make_shared<PlanCore>();
-  size_t view_count = instance.view_count();
-
-  // Tuple id space from the (already mutated) views.
-  core->view_first.resize(view_count + 1);
-  uint32_t dense = 0;
-  for (size_t v = 0; v < view_count; ++v) {
-    core->view_first[v] = dense;
-    dense += static_cast<uint32_t>(instance.view(v).size());
-  }
-  core->view_first[view_count] = dense;
-  uint32_t tuple_count = dense;
-  core->tuple_view.resize(tuple_count);
-  for (size_t v = 0; v < view_count; ++v) {
-    uint32_t first = core->view_first[v];
-    uint32_t last = core->view_first[v + 1];
-    for (uint32_t d = first; d < last; ++d) {
-      core->tuple_view[d] = static_cast<uint32_t>(v);
-    }
-  }
-
-  // Old→new tuple remap. Survivors of view v occupy its first slots in their
-  // old relative order (View::RemoveTuples compacts stably, AddMatch only
-  // appends), so walking old dense ids in order assigns the new ids.
-  uint32_t old_tuple_count = old_core.tuple_count();
-  std::vector<uint32_t> tuple_remap(old_tuple_count, kNpos);
-  std::vector<uint32_t> old_of(tuple_count, kNpos);  // new dense -> old dense
-  std::vector<uint32_t> survivors(view_count, 0);
-  for (size_t v = 0; v < view_count; ++v) {
-    uint32_t next = core->view_first[v];
-    for (uint32_t od = old_core.view_first[v]; od < old_core.view_first[v + 1];
-         ++od) {
-      if (delta.tuple_removed[od]) continue;
-      tuple_remap[od] = next;
-      old_of[next] = od;
-      ++next;
-    }
-    survivors[v] = next - core->view_first[v];
-  }
-
-  // Weights: splice survivors from the old array, read appended tuples from
-  // the instance (SetWeight keeps the instance map and the core in sync).
-  core->weight.resize(tuple_count);
-  for (uint32_t od = 0; od < old_tuple_count; ++od) {
-    if (tuple_remap[od] != kNpos) {
-      core->weight[tuple_remap[od]] = old_core.weight[od];
-    }
-  }
-  for (size_t v = 0; v < view_count; ++v) {
-    const View& view = instance.view(v);
-    for (size_t t = survivors[v]; t < view.size(); ++t) {
-      core->weight[core->view_first[v] + t] = instance.weight(ViewTupleId{v, t});
-    }
-  }
-
-  // Base occurrence deltas per old base, and the refs new witnesses bring
-  // in. Old bases whose count drops to zero leave the id space; fresh refs
-  // join it; everything stays in ascending TupleRef order via a merge.
-  uint32_t old_base_count = old_core.base_count();
-  std::vector<int64_t> occ_delta(old_base_count, 0);
-  std::vector<uint32_t> scratch;
-  for (uint32_t ow = 0; ow < old_core.witness_count(); ++ow) {
-    if (!delta.witness_removed[ow]) continue;
-    scratch.assign(
-        old_core.witness_member_base.begin() +
-            old_core.witness_member_first[ow],
-        old_core.witness_member_base.begin() +
-            old_core.witness_member_first[ow + 1]);
-    std::sort(scratch.begin(), scratch.end());
-    scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
-    for (uint32_t base : scratch) --occ_delta[base];
-  }
-  auto find_old_base = [&old_core](const TupleRef& ref) {
-    auto it = std::lower_bound(old_core.base_refs.begin(),
-                               old_core.base_refs.end(), ref);
-    if (it == old_core.base_refs.end() || !(*it == ref)) {
-      return CompiledInstance::kNpos;
-    }
-    return static_cast<uint32_t>(it - old_core.base_refs.begin());
-  };
-  std::vector<TupleRef> new_refs;
-  std::vector<TupleRef> ref_scratch;
-  // Appended-witness sweep, used twice: once to collect refs, once to fill
-  // member rows. For a surviving tuple the appended witnesses are the ones
-  // past its kept-old-witness count; for an appended tuple, all of them.
-  auto for_each_appended_witness = [&](auto&& body) {
-    for (size_t v = 0; v < view_count; ++v) {
-      const View& view = instance.view(v);
-      for (size_t t = 0; t < view.size(); ++t) {
-        uint32_t d = core->view_first[v] + static_cast<uint32_t>(t);
-        size_t kept = 0;
-        if (t < survivors[v]) {
-          uint32_t od = old_of[d];
-          for (uint32_t ow = old_core.tuple_witness_first[od];
-               ow < old_core.tuple_witness_first[od + 1]; ++ow) {
-            if (!delta.witness_removed[ow]) ++kept;
-          }
-        }
-        const std::vector<Witness>& witnesses = view.tuple(t).witnesses;
-        for (size_t w = kept; w < witnesses.size(); ++w) {
-          body(witnesses[w]);
-        }
-      }
-    }
-  };
-  for_each_appended_witness([&](const Witness& witness) {
-    ref_scratch.assign(witness.begin(), witness.end());
-    std::sort(ref_scratch.begin(), ref_scratch.end());
-    ref_scratch.erase(
-        std::unique(ref_scratch.begin(), ref_scratch.end()),
-        ref_scratch.end());
-    for (const TupleRef& ref : ref_scratch) {
-      uint32_t old_base = find_old_base(ref);
-      if (old_base != kNpos) {
-        ++occ_delta[old_base];
-      } else {
-        new_refs.push_back(ref);
-      }
-    }
-  });
-  std::sort(new_refs.begin(), new_refs.end());
-  new_refs.erase(std::unique(new_refs.begin(), new_refs.end()),
-                 new_refs.end());
-
-  // Merge surviving old refs with the new ones (both ascending).
-  std::vector<uint32_t> base_remap(old_base_count, kNpos);
-  core->base_refs.reserve(old_base_count + new_refs.size());
-  {
-    uint32_t ob = 0;
-    size_t nr = 0;
-    while (ob < old_base_count || nr < new_refs.size()) {
-      bool take_old;
-      if (ob >= old_base_count) {
-        take_old = false;
-      } else if (nr >= new_refs.size()) {
-        take_old = true;
-      } else {
-        take_old = old_core.base_refs[ob] < new_refs[nr];
-      }
-      if (take_old) {
-        int64_t old_count = static_cast<int64_t>(old_core.base_occ_first[ob + 1]) -
-                            static_cast<int64_t>(old_core.base_occ_first[ob]);
-        if (old_count + occ_delta[ob] > 0) {
-          base_remap[ob] = static_cast<uint32_t>(core->base_refs.size());
-          core->base_refs.push_back(old_core.base_refs[ob]);
-        }
-        ++ob;
-      } else {
-        core->base_refs.push_back(new_refs[nr]);
-        ++nr;
-      }
-    }
-  }
-  auto find_base = [core](const TupleRef& ref) {
-    auto it = std::lower_bound(core->base_refs.begin(), core->base_refs.end(),
-                               ref);
-    return static_cast<uint32_t>(it - core->base_refs.begin());
-  };
-
-  // Witness CSR + member rows: kept old witnesses splice their member slices
-  // through base_remap; appended witnesses resolve refs against the merged
-  // id space. Both paths emit in (view, tuple, witness) order, matching a
-  // from-scratch build byte for byte.
-  core->tuple_witness_first.resize(tuple_count + 1);
-  {
-    uint32_t wid = 0;
-    size_t member_total = 0;
-    for (size_t v = 0; v < view_count; ++v) {
-      const View& view = instance.view(v);
-      for (size_t t = 0; t < view.size(); ++t) {
-        uint32_t d = core->view_first[v] + static_cast<uint32_t>(t);
-        core->tuple_witness_first[d] = wid;
-        for (const Witness& witness : view.tuple(t).witnesses) {
-          ++wid;
-          member_total += witness.size();
-        }
-      }
-    }
-    core->tuple_witness_first[tuple_count] = wid;
-    core->witness_owner.resize(wid);
-    core->witness_member_first.resize(static_cast<size_t>(wid) + 1);
-    core->witness_member_base.reserve(member_total);
-  }
-  {
-    uint32_t wid = 0;
-    uint32_t member_slot = 0;
-    for (size_t v = 0; v < view_count; ++v) {
-      const View& view = instance.view(v);
-      for (size_t t = 0; t < view.size(); ++t) {
-        uint32_t d = core->view_first[v] + static_cast<uint32_t>(t);
-        size_t kept = 0;
-        if (t < survivors[v]) {
-          uint32_t od = old_of[d];
-          for (uint32_t ow = old_core.tuple_witness_first[od];
-               ow < old_core.tuple_witness_first[od + 1]; ++ow) {
-            if (delta.witness_removed[ow]) continue;
-            core->witness_owner[wid] = d;
-            core->witness_member_first[wid] = member_slot;
-            for (uint32_t slot = old_core.witness_member_first[ow];
-                 slot < old_core.witness_member_first[ow + 1]; ++slot) {
-              core->witness_member_base.push_back(
-                  base_remap[old_core.witness_member_base[slot]]);
-              ++member_slot;
-            }
-            ++wid;
-            ++kept;
-          }
-        }
-        const std::vector<Witness>& witnesses = view.tuple(t).witnesses;
-        for (size_t w = kept; w < witnesses.size(); ++w) {
-          core->witness_owner[wid] = d;
-          core->witness_member_first[wid] = member_slot;
-          for (const TupleRef& ref : witnesses[w]) {
-            core->witness_member_base.push_back(find_base(ref));
-            ++member_slot;
-          }
-          ++wid;
-        }
-      }
-    }
-    core->witness_member_first[wid] = member_slot;
-  }
-  FinishCore(core.get());
-  return core;
-}
-
 std::shared_ptr<const CompiledInstance> CompiledInstance::Build(
     const VseInstance& instance) {
   return BuildFromCore(BuildCore(instance), instance.deletion_tuples(),
@@ -476,14 +247,13 @@ std::shared_ptr<const CompiledInstance> CompiledInstance::BuildFromCore(
   uint32_t base_count = core->base_count();
 
   if (recycle != nullptr && recycle.use_count() == 1 &&
-      recycle->core_->tuple_count() == tuple_count &&
-      recycle->core_->base_count() == base_count) {
-    // Sole owner of a retired plan with matching dimensions (the same core,
-    // or a weight-patched clone of it): steal its overlay buffers. Clearing
-    // by the retired ΔV/candidate lists (instead of a full fill) keeps the
-    // reset O(previous ΔV incidence), and re-establishes the all-zero
-    // `touched_` invariant. The const_cast is sound: we hold the only
-    // reference, so no reader can observe the mutation.
+      recycle->core_ == core) {
+    // Sole owner of a retired plan over the same core: steal its overlay
+    // buffers. Clearing by the retired ΔV/candidate lists (instead of a
+    // full fill) keeps the reset O(previous ΔV incidence), and
+    // re-establishes the all-zero `touched_` invariant. The const_cast is
+    // sound: we hold the only reference, so no reader can observe the
+    // mutation.
     CompiledInstance& prev = const_cast<CompiledInstance&>(*recycle);
     for (uint32_t d : prev.deletion_dense_) {
       prev.is_deletion_[d] = 0;
@@ -543,9 +313,9 @@ std::shared_ptr<const CompiledInstance> VseInstance::compiled() const {
   std::lock_guard<std::mutex> lock(caches_->mu);
   if (caches_->compiled == nullptr) {
     if (caches_->plan_core != nullptr) {
-      // ΔV-only invalidation (or an ApplyDelta core patch) kept a core;
-      // rebuild just the overlay, recycling the retired plan's buffers when
-      // we are its sole owner and the dimensions still line up.
+      // A ΔV-only invalidation (or a delta that changed no witness) kept
+      // the core; rebuild just the overlay, recycling the retired plan's
+      // buffers when we are its sole owner.
       ++caches_->plan_stats.core_rebinds;
       caches_->compiled = CompiledInstance::BuildFromCore(
           caches_->plan_core, deletion_tuples_, std::move(caches_->retired));

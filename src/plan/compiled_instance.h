@@ -16,6 +16,9 @@ namespace delprop {
 /// deletions never changes it — so one PlanCore is built per instance shape
 /// and shared (immutably, via shared_ptr) across every ΔV overlay compiled
 /// from it, across replicas (`VseInstance::Replicate`), and across threads.
+/// BuildCore is its only writer and nothing writes it after BuildCore
+/// returns: a base delta that changes a witness, or a reweight, drops the
+/// core, and the next `VseInstance::compiled()` builds a new one.
 struct PlanCore {
   std::vector<uint32_t> view_first;  // per view: first dense tuple id
   std::vector<uint32_t> tuple_view;  // per tuple: owning view
@@ -48,22 +51,9 @@ struct PlanCore {
   }
 
   /// Field-for-field equality over every array and statistic: the
-  /// mutate-vs-rebuild oracle demands a patched core equal a from-scratch
-  /// build of the same views.
+  /// mutate-vs-rebuild oracle demands that the core of a delta-maintained
+  /// instance equal a from-scratch build over a re-index of its views.
   bool operator==(const PlanCore&) const = default;
-};
-
-/// A view-level delta phrased in an existing core's dense ids: which old
-/// view tuples disappeared and which old witnesses were removed (a removed
-/// tuple has all of its witnesses marked). Appended tuples and witnesses are
-/// not listed — `CompiledInstance::PatchCore` reads them straight from the
-/// already-mutated views, which hold survivors first (in their old relative
-/// order) and appended tuples/witnesses last.
-struct CoreDelta {
-  std::vector<uint8_t> tuple_removed;    // by old dense tuple id
-  std::vector<uint8_t> witness_removed;  // by old witness id
-  size_t removed_tuple_count = 0;
-  size_t removed_witness_count = 0;
 };
 
 /// The dense, immutable execution plan of a VseInstance: every view tuple
@@ -111,27 +101,15 @@ class CompiledInstance {
 
   /// Compiles only the ΔV overlay over an existing `core`. `deletions` must
   /// be sorted ascending with every id in range (the VseInstance mark/reset
-  /// paths guarantee both). If `recycle` is non-null, has the same tuple and
-  /// base dimensions as `core` (same core, or a weight-patched clone of it),
-  /// and is the sole remaining owner of its plan, that plan's overlay
-  /// buffers are stolen instead of allocated — the recycled plan must no
-  /// longer be referenced by any tracker or solver (callers pass a retired
-  /// plan the instance alone still holds).
+  /// paths guarantee both). If `recycle` is non-null, was compiled from
+  /// `core` itself, and is the sole remaining owner of its plan, that plan's
+  /// overlay buffers are stolen instead of allocated — the recycled plan
+  /// must no longer be referenced by any tracker or solver (callers pass a
+  /// retired plan the instance alone still holds).
   static std::shared_ptr<const CompiledInstance> BuildFromCore(
       std::shared_ptr<const PlanCore> core,
       const std::vector<ViewTupleId>& deletions,
       std::shared_ptr<const CompiledInstance> recycle);
-
-  /// Splices a new core out of `old_core` after a base-data delta: the
-  /// removed tuples/witnesses in `delta` are dropped, appended ones are read
-  /// from `instance`'s (already mutated) views, and every derived array
-  /// (remapped ids, merged base refs, occurrence and kill rows) is rebuilt
-  /// in linear passes over the old core and the delta, with no pass over
-  /// the database. The result is byte-identical to BuildCore over the
-  /// mutated instance (property-tested by the mutate-vs-rebuild oracle).
-  static std::shared_ptr<const PlanCore> PatchCore(const PlanCore& old_core,
-                                                   const VseInstance& instance,
-                                                   const CoreDelta& delta);
 
   /// The shared ΔV-independent core this plan was compiled from.
   const std::shared_ptr<const PlanCore>& core() const { return core_; }

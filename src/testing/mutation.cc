@@ -27,8 +27,6 @@ struct CaseOutcome {
   size_t rows_deleted = 0;
   size_t view_tuples_added = 0;
   size_t view_tuples_removed = 0;
-  size_t core_patches = 0;
-  size_t core_rebuilds = 0;
   std::vector<MutationViolation> violations;
 };
 
@@ -146,7 +144,11 @@ void CheckContent(const VseInstance& live, const VseInstance& rebuilt,
 /// solver outcomes) must be byte-identical to `shadow`, a fresh
 /// CreateFromMaterializedViews over a copy of the live views carrying the
 /// same ΔV and weights. The core comparison covers every PlanCore field,
-/// the kill rows behind KilledBy and ApplyDelta included.
+/// the kill rows behind KilledBy and ApplyDelta included. The live core is
+/// rebuilt by BuildCore after every witness-changing delta and reweight, so
+/// this checks that the delta-maintained views (compacted in order,
+/// appended to by inserts) and weights rebuild the same core as a
+/// re-index.
 void CheckDerivedState(const VseInstance& live, const VseInstance& shadow,
                        const std::vector<std::string>& solvers,
                        size_t case_index, uint64_t seed, size_t step,
@@ -163,7 +165,7 @@ void CheckDerivedState(const VseInstance& live, const VseInstance& shadow,
   std::shared_ptr<const CompiledInstance> shadow_plan = shadow.compiled();
   if (*live_plan->core() != *shadow_plan->core()) {
     violations->push_back({case_index, seed, step, "core",
-                           "patched PlanCore is not byte-identical to a "
+                           "live PlanCore is not byte-identical to a "
                            "from-scratch build over the mutated views"});
   }
   if (live_plan->deletion_dense() != shadow_plan->deletion_dense() ||
@@ -218,16 +220,13 @@ void RunOneCase(const MutationFuzzOptions& options, size_t index,
   VseInstance live = std::move(*fuzz_case.generated.instance);
   Rng rng(DeriveTaskSeed(outcome->seed, 0x6d757461));  // "muta"
 
-  ApplyDeltaOptions apply_options;
-  apply_options.patch_threshold = options.patch_threshold;
-
   for (size_t step = 0; step < options.steps_per_case; ++step) {
     BaseDelta delta =
         MakeRandomDelta(db, live.base_mask(), rng, index, step);
     if (delta.empty()) continue;
 
     ApplyDeltaReport report;
-    Status applied = live.ApplyDelta(db, delta, apply_options, &report);
+    Status applied = live.ApplyDelta(db, delta, {}, &report);
     if (!applied.ok()) {
       outcome->violations.push_back({index, outcome->seed, step, "apply",
                                      applied.ToString()});
@@ -238,11 +237,9 @@ void RunOneCase(const MutationFuzzOptions& options, size_t index,
     outcome->rows_deleted += delta.deletes.size();
     outcome->view_tuples_added += report.view_tuples_added;
     outcome->view_tuples_removed += report.view_tuples_removed;
-    if (report.core_patched) ++outcome->core_patches;
-    if (report.core_rebuilt) ++outcome->core_rebuilds;
 
     // Interleave ΔV marks and reweights so every oracle pass also covers
-    // post-delta mark remapping and the SetWeight core-patch path.
+    // post-delta mark remapping and the core rebuild after SetWeight.
     size_t marks = rng.NextBelow(3);
     for (size_t m = 0; m < marks && live.view_count() > 0; ++m) {
       size_t v = rng.NextBelow(live.view_count());
@@ -339,7 +336,6 @@ std::string MutationFuzzSummary::ToString() const {
   out << "  seed-start: " << options.seed_start << "\n";
   out << "  iterations: " << options.iterations << "\n";
   out << "  steps-per-case: " << options.steps_per_case << "\n";
-  out << "  patch-threshold: " << options.patch_threshold << "\n";
   out << "  solvers:";
   for (const std::string& solver : options.solvers) out << " " << solver;
   out << "\n";
@@ -349,8 +345,6 @@ std::string MutationFuzzSummary::ToString() const {
       << " rows, -" << rows_deleted << " rows)\n";
   out << "  view delta: +" << view_tuples_added << " / -"
       << view_tuples_removed << " tuples\n";
-  out << "  core patches: " << core_patches
-      << ", rebuild fallbacks: " << core_rebuilds << "\n";
   out << "  failing cases: " << failing_cases << "\n";
   for (const MutationViolation& violation : violations) {
     out << "  seed " << violation.seed << " (index " << violation.case_index
@@ -379,8 +373,6 @@ MutationFuzzSummary RunMutationFuzz(const MutationFuzzOptions& options,
     summary.rows_deleted += outcome.rows_deleted;
     summary.view_tuples_added += outcome.view_tuples_added;
     summary.view_tuples_removed += outcome.view_tuples_removed;
-    summary.core_patches += outcome.core_patches;
-    summary.core_rebuilds += outcome.core_rebuilds;
     if (!outcome.violations.empty()) {
       ++summary.failing_cases;
       summary.violations.insert(summary.violations.end(),

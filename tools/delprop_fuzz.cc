@@ -3,7 +3,7 @@
 //   delprop_fuzz --seed-start 1 --iterations 500 --threads 4
 //                [--shrink 0|1] [--out-dir fuzz-out]
 //   delprop_fuzz --replay tests/corpus/pivot_forest_minimal.delprop
-//   delprop_fuzz --mutate --iterations 500 [--steps N] [--patch-threshold F]
+//   delprop_fuzz --mutate --iterations 500 [--steps N]
 //   delprop_fuzz --ilp-gaps --iterations 25
 //
 // Fuzz mode generates one instance per seed across the workload families,
@@ -42,7 +42,7 @@ int Usage(const char* argv0) {
       "          [--shrink 0|1] [--out-dir DIR]\n"
       "       %s --replay FILE...\n"
       "       %s --mutate [--seed-start N] [--iterations N] [--threads N]\n"
-      "          [--steps N] [--patch-threshold F]\n"
+      "          [--steps N]\n"
       "       %s --ilp-gaps [--iterations N]\n",
       argv0, argv0, argv0, argv0);
   return 2;
@@ -207,10 +207,6 @@ int main(int argc, char** argv) {
       const char* v = next_value();
       if (v == nullptr) return Usage(argv[0]);
       mutation.steps_per_case = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--patch-threshold") {
-      const char* v = next_value();
-      if (v == nullptr) return Usage(argv[0]);
-      mutation.patch_threshold = std::strtod(v, nullptr);
     } else if (arg == "--seed-start") {
       const char* v = next_value();
       if (v == nullptr) return Usage(argv[0]);
