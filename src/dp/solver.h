@@ -22,6 +22,11 @@ enum class Objective {
 };
 
 /// Interface of all deletion-propagation solvers.
+///
+/// A solver object may own reusable scratch sized by the instance (the
+/// ILP's CoveringModel, the set-cover reductions' per-tuple id arrays), so
+/// one object must not serve two threads at once. The engine's workers,
+/// RunAll's tasks and the benches each construct their own.
 class VseSolver {
  public:
   virtual ~VseSolver() = default;

@@ -1,5 +1,7 @@
 #include "ilp/covering_model.h"
 
+#include <algorithm>
+
 namespace delprop {
 
 namespace {
@@ -30,13 +32,30 @@ void CoveringModel::Union(uint32_t a, uint32_t b) {
 
 void CoveringModel::Decompose(const CompiledInstance& plan) {
   const uint32_t base_count = plan.base_count();
+  const uint32_t tuple_count = plan.tuple_count();
   const std::vector<uint32_t>& candidates = plan.candidate_bases();
   const std::vector<uint32_t>& deltas = plan.deletion_dense();
   standard_infeasible_ = false;
   orphan_delta_weight_ = 0.0;
+  tuples_visited_ = deltas.size();
 
-  // Singleton sets over the candidates; kNpos marks non-candidates.
-  parent_.assign(base_count, kNpos);
+  // The per-base arrays are all kNpos between calls, so only a new base
+  // count refills them; the visit stamps start over with a new tuple count
+  // and are refilled when the epoch wraps.
+  if (parent_.size() != base_count) {
+    parent_.assign(base_count, kNpos);
+    comp_of_base_.assign(base_count, kNpos);
+  }
+  if (visit_stamp_.size() != tuple_count) {
+    visit_stamp_.assign(tuple_count, 0);
+    visit_epoch_ = 0;
+  }
+  if (++visit_epoch_ == 0) {
+    std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0);
+    visit_epoch_ = 1;
+  }
+
+  // Singleton sets over the candidates.
   for (uint32_t b : candidates) parent_[b] = b;
 
   // Constraint rows: every ΔV tuple unions the members of all its witnesses
@@ -65,38 +84,47 @@ void CoveringModel::Decompose(const CompiledInstance& plan) {
   // when a candidate deletion can actually kill it, i.e. when every witness
   // holds at least one candidate. Checked first, unioned second — unioning
   // through an unkillable tuple would merge components that never interact.
-  const uint32_t tuple_count = plan.tuple_count();
-  for (uint32_t t = 0; t < tuple_count; ++t) {
-    if (plan.is_deletion(t)) continue;
-    uint32_t wend = plan.tuple_witness_end(t);
-    bool killable = true;
-    for (uint32_t w = plan.tuple_witness_begin(t); killable && w < wend; ++w) {
-      bool has_candidate = false;
-      for (uint32_t slot = plan.member_begin(w);
-           !has_candidate && slot < plan.member_end(w); ++slot) {
-        has_candidate = parent_[plan.member_base(slot)] != kNpos;
+  // Such a tuple lies in some candidate's kill row, so the kill rows are the
+  // only tuples to visit; the stamp visits each once.
+  for (uint32_t candidate : candidates) {
+    const uint32_t kend = plan.kill_end(candidate);
+    for (uint32_t kslot = plan.kill_begin(candidate); kslot < kend; ++kslot) {
+      const uint32_t t = plan.kill_tuple(kslot);
+      if (plan.is_deletion(t) || visit_stamp_[t] == visit_epoch_) continue;
+      visit_stamp_[t] = visit_epoch_;
+      ++tuples_visited_;
+      uint32_t wend = plan.tuple_witness_end(t);
+      bool killable = true;
+      for (uint32_t w = plan.tuple_witness_begin(t); killable && w < wend;
+           ++w) {
+        bool has_candidate = false;
+        for (uint32_t slot = plan.member_begin(w);
+             !has_candidate && slot < plan.member_end(w); ++slot) {
+          has_candidate = parent_[plan.member_base(slot)] != kNpos;
+        }
+        killable = has_candidate;
       }
-      killable = has_candidate;
-    }
-    if (!killable) continue;
-    uint32_t anchor = kNpos;
-    for (uint32_t w = plan.tuple_witness_begin(t); w < wend; ++w) {
-      for (uint32_t slot = plan.member_begin(w); slot < plan.member_end(w);
-           ++slot) {
-        uint32_t b = plan.member_base(slot);
-        if (parent_[b] == kNpos) continue;
-        if (anchor == kNpos) {
-          anchor = b;
-        } else {
-          Union(anchor, b);
+      if (!killable) continue;
+      uint32_t anchor = kNpos;
+      for (uint32_t w = plan.tuple_witness_begin(t); w < wend; ++w) {
+        for (uint32_t slot = plan.member_begin(w); slot < plan.member_end(w);
+             ++slot) {
+          uint32_t b = plan.member_base(slot);
+          if (parent_[b] == kNpos) continue;
+          if (anchor == kNpos) {
+            anchor = b;
+          } else {
+            Union(anchor, b);
+          }
         }
       }
     }
   }
 
   // Number the components by first appearance over ascending candidate id;
-  // comp_of_base_ doubles as the root -> component map.
-  comp_of_base_.assign(base_count, kNpos);
+  // comp_of_base_ doubles as the root -> component map. Union keeps every
+  // root at its component's minimal dense id whatever the union order, so
+  // the numbering depends only on the components.
   uint32_t comp_count = 0;
   for (uint32_t b : candidates) {
     uint32_t root = Find(b);
@@ -158,6 +186,12 @@ void CoveringModel::Decompose(const CompiledInstance& plan) {
     if (c == kNpos) continue;
     comp_tuples_[cursor_[c]++] = dense;
     comp_delta_weight_[c] += plan.weight(dense);
+  }
+
+  // Restore the all-kNpos invariant: only candidates were written.
+  for (uint32_t b : candidates) {
+    parent_[b] = kNpos;
+    comp_of_base_[b] = kNpos;
   }
 }
 

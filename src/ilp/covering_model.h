@@ -34,8 +34,13 @@ namespace delprop {
 ///     preserved tuple with a candidate-free witness can never die and
 ///     couples nothing.
 ///
-/// All storage is reusable: Decompose() only allocates when the plan dimensions
-/// grow, so a pooled solver reaches zero steady-state allocations.
+/// A killable preserved tuple has a candidate in every witness, so it lies
+/// in that candidate's kill row: Decompose() walks the candidates' kill rows
+/// instead of every view tuple, and costs O(ΔV witness members + Σ candidate
+/// kill rows), not O(‖V‖). All storage is reusable: the per-base and
+/// per-tuple arrays are refilled only when the plan's dimensions change,
+/// and a call otherwise resets exactly the entries it set, so a pooled
+/// solver reaches zero steady-state allocations.
 class CoveringModel {
  public:
   /// Decomposes `plan`'s candidate bases into independent components.
@@ -43,6 +48,11 @@ class CoveringModel {
   /// deterministically (by first appearance over ascending candidate id /
   /// ascending dense tuple id).
   void Decompose(const CompiledInstance& plan);
+
+  /// View tuples the last Decompose() visited: every ΔV tuple plus each
+  /// preserved tuple in some candidate's kill row, once. Deterministic — a
+  /// function of the request's neighbourhood, not of the instance's size.
+  uint64_t tuples_visited() const { return tuples_visited_; }
 
   uint32_t component_count() const {
     return static_cast<uint32_t>(comp_base_first_.empty()
@@ -95,11 +105,20 @@ class CoveringModel {
   std::vector<double> comp_delta_weight_;
   bool standard_infeasible_ = false;
   double orphan_delta_weight_ = 0.0;
+  uint64_t tuples_visited_ = 0;
 
-  // Union-find over dense base ids; kNpos marks non-candidates.
+  // Union-find over dense base ids; kNpos marks non-candidates. Between
+  // calls every entry is kNpos: Decompose resets exactly the candidates it
+  // set before it returns.
   std::vector<uint32_t> parent_;
-  // Per base: component index (valid for candidates after Decompose).
+  // Per base: component index while Decompose runs (kNpos between calls,
+  // like parent_).
   std::vector<uint32_t> comp_of_base_;
+  // Per tuple: the epoch of the last call that visited it, so each preserved
+  // tuple in several kill rows is visited once. Refilled when the epoch
+  // wraps or the tuple count changes.
+  std::vector<uint32_t> visit_stamp_;
+  uint32_t visit_epoch_ = 0;
   // Per component: fill cursor during the bucketing passes.
   std::vector<uint32_t> cursor_;
 };

@@ -6,10 +6,19 @@ namespace delprop {
 
 Result<BalancedToPnpscMapping> ReduceBalancedToPnpsc(
     const VseInstance& instance) {
+  std::vector<uint32_t> negative_of_tuple;
+  return ReduceBalancedToPnpsc(instance, negative_of_tuple);
+}
+
+Result<BalancedToPnpscMapping> ReduceBalancedToPnpsc(
+    const VseInstance& instance, std::vector<uint32_t>& negative_of_tuple) {
   if (instance.TotalDeletionTuples() == 0) {
     return Status::FailedPrecondition("no view deletions marked");
   }
   std::shared_ptr<const CompiledInstance> plan = instance.compiled();
+  if (negative_of_tuple.size() != plan->tuple_count()) {
+    negative_of_tuple.assign(plan->tuple_count(), CompiledInstance::kNpos);
+  }
   BalancedToPnpscMapping mapping;
   mapping.set_tuples.reserve(plan->candidate_bases().size());
   for (uint32_t base : plan->candidate_bases()) {
@@ -22,10 +31,8 @@ Result<BalancedToPnpscMapping> ReduceBalancedToPnpsc(
     mapping.pnpsc.positive_weights.push_back(plan->weight(dense));
   }
 
-  // Negative ids assigned lazily on first touch (dense array instead of the
-  // legacy hash map; same first-touch order).
-  std::vector<uint32_t> negative_of_tuple(plan->tuple_count(),
-                                          CompiledInstance::kNpos);
+  // Negative ids assigned lazily on first touch, through the caller's
+  // all-kNpos per-tuple array.
   auto negative_of = [&](uint32_t dense) {
     if (negative_of_tuple[dense] == CompiledInstance::kNpos) {
       negative_of_tuple[dense] =
@@ -60,6 +67,10 @@ Result<BalancedToPnpscMapping> ReduceBalancedToPnpsc(
       }
     }
     mapping.pnpsc.sets.push_back(std::move(set));
+  }
+  // Hand the scratch back all-kNpos: clear exactly the ids set above.
+  for (const ViewTupleId& negative : mapping.negative_tuples) {
+    negative_of_tuple[plan->DenseOf(negative)] = CompiledInstance::kNpos;
   }
   mapping.pnpsc.positive_count = mapping.positive_tuples.size();
   mapping.pnpsc.negative_count = mapping.negative_tuples.size();

@@ -1,6 +1,7 @@
 #ifndef DELPROP_REDUCTIONS_BALANCED_TO_PNPSC_H_
 #define DELPROP_REDUCTIONS_BALANCED_TO_PNPSC_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "dp/vse_instance.h"
@@ -25,6 +26,13 @@ struct BalancedToPnpscMapping {
 };
 
 /// Builds the reduction. Fails if the instance has no marked deletions.
+/// `negative_of_tuple` is per-view-tuple scratch the caller keeps across
+/// calls, under the contract of ReduceVseToRbsc's `red_of_tuple`: all kNpos
+/// on entry and on return, refilled only when the tuple count changes.
+Result<BalancedToPnpscMapping> ReduceBalancedToPnpsc(
+    const VseInstance& instance, std::vector<uint32_t>& negative_of_tuple);
+
+/// The same reduction over a scratch array of its own.
 Result<BalancedToPnpscMapping> ReduceBalancedToPnpsc(
     const VseInstance& instance);
 

@@ -5,10 +5,19 @@
 namespace delprop {
 
 Result<VseToRbscMapping> ReduceVseToRbsc(const VseInstance& instance) {
+  std::vector<uint32_t> red_of_tuple;
+  return ReduceVseToRbsc(instance, red_of_tuple);
+}
+
+Result<VseToRbscMapping> ReduceVseToRbsc(const VseInstance& instance,
+                                         std::vector<uint32_t>& red_of_tuple) {
   if (instance.TotalDeletionTuples() == 0) {
     return Status::FailedPrecondition("no view deletions marked");
   }
   std::shared_ptr<const CompiledInstance> plan = instance.compiled();
+  if (red_of_tuple.size() != plan->tuple_count()) {
+    red_of_tuple.assign(plan->tuple_count(), CompiledInstance::kNpos);
+  }
   VseToRbscMapping mapping;
   mapping.set_tuples.reserve(plan->candidate_bases().size());
   for (uint32_t base : plan->candidate_bases()) {
@@ -19,11 +28,8 @@ Result<VseToRbscMapping> ReduceVseToRbsc(const VseInstance& instance) {
   mapping.blue_tuples = instance.deletion_tuples();
 
   // Red ids, assigned lazily to preserved tuples touched by candidates
-  // (first-touch order over the candidate/kill scan, as before). A dense
-  // kNpos-initialized array replaces the legacy hash map: same assignment
-  // order, O(1) lookups.
-  std::vector<uint32_t> red_of_tuple(plan->tuple_count(),
-                                     CompiledInstance::kNpos);
+  // (first-touch order over the candidate/kill scan, as before), through
+  // the caller's all-kNpos per-tuple array.
   auto red_of = [&](uint32_t dense) {
     if (red_of_tuple[dense] == CompiledInstance::kNpos) {
       red_of_tuple[dense] = static_cast<uint32_t>(mapping.red_tuples.size());
@@ -57,6 +63,10 @@ Result<VseToRbscMapping> ReduceVseToRbsc(const VseInstance& instance) {
       }
     }
     mapping.rbsc.sets.push_back(std::move(set));
+  }
+  // Hand the scratch back all-kNpos: clear exactly the ids set above.
+  for (const ViewTupleId& red : mapping.red_tuples) {
+    red_of_tuple[plan->DenseOf(red)] = CompiledInstance::kNpos;
   }
   mapping.rbsc.blue_count = mapping.blue_tuples.size();
   mapping.rbsc.red_count = mapping.red_tuples.size();

@@ -1,6 +1,7 @@
 #ifndef DELPROP_REDUCTIONS_VSE_TO_RBSC_H_
 #define DELPROP_REDUCTIONS_VSE_TO_RBSC_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "dp/vse_instance.h"
@@ -30,6 +31,14 @@ struct VseToRbscMapping {
 };
 
 /// Builds the reduction. Fails if the instance has no marked deletions.
+/// `red_of_tuple` is per-view-tuple scratch the caller keeps across calls:
+/// every entry is kNpos on entry and again on return (it is refilled only
+/// when its size differs from the instance's tuple count), so a call costs
+/// O(Σ candidate kill rows), not O(‖V‖).
+Result<VseToRbscMapping> ReduceVseToRbsc(const VseInstance& instance,
+                                         std::vector<uint32_t>& red_of_tuple);
+
+/// The same reduction over a scratch array of its own.
 Result<VseToRbscMapping> ReduceVseToRbsc(const VseInstance& instance);
 
 /// Maps chosen RBSC sets back to a source deletion ΔD.

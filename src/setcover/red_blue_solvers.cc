@@ -3,26 +3,53 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <span>
 
 namespace delprop {
 namespace {
 
-/// Element→sets incidence, built once per instance and shared across the
-/// per-threshold greedy runs of the low-degree solver. Entries are pushed
-/// once per *occurrence* (a set listing a blue twice appears twice), so
-/// incremental new-blues counts match the reference scan, which also counts
+/// Element → sets incidence of one side (blue or red) in CSR form: the sets
+/// listing element e are sets_[first_[e] .. first_[e + 1]), ascending. Built
+/// in two passes (count, then fill in ascending set order), so an element a
+/// set lists twice appears twice, as its occurrences do: incremental
+/// new-blues counts then match the reference scan, which also counts
 /// occurrences.
-struct RbscIncidence {
-  std::vector<std::vector<size_t>> blue_sets;
-  std::vector<std::vector<size_t>> red_sets;
-
-  explicit RbscIncidence(const RbscInstance& instance)
-      : blue_sets(instance.blue_count), red_sets(instance.red_count) {
+class ElementSets {
+ public:
+  ElementSets(const RbscInstance& instance,
+              std::vector<size_t> RbscInstance::Set::*side,
+              size_t element_count)
+      : first_(element_count + 1, 0) {
+    for (const RbscInstance::Set& set : instance.sets) {
+      for (size_t e : set.*side) ++first_[e + 1];
+    }
+    for (size_t e = 0; e < element_count; ++e) first_[e + 1] += first_[e];
+    sets_.resize(first_[element_count]);
+    std::vector<size_t> cursor(first_.begin(), first_.end() - 1);
     for (size_t s = 0; s < instance.sets.size(); ++s) {
-      for (size_t b : instance.sets[s].blues) blue_sets[b].push_back(s);
-      for (size_t r : instance.sets[s].reds) red_sets[r].push_back(s);
+      for (size_t e : instance.sets[s].*side) sets_[cursor[e]++] = s;
     }
   }
+
+  std::span<const size_t> of(size_t element) const {
+    return std::span<const size_t>(sets_).subspan(
+        first_[element], first_[element + 1] - first_[element]);
+  }
+
+ private:
+  std::vector<size_t> first_;
+  std::vector<size_t> sets_;
+};
+
+/// Both sides' incidence, built once per instance and shared across the
+/// per-threshold greedy runs of the low-degree solver.
+struct RbscIncidence {
+  ElementSets blue_sets;
+  ElementSets red_sets;
+
+  explicit RbscIncidence(const RbscInstance& instance)
+      : blue_sets(instance, &RbscInstance::Set::blues, instance.blue_count),
+        red_sets(instance, &RbscInstance::Set::reds, instance.red_count) {}
 };
 
 /// Greedy over the subset of sets with `allowed[s]` true. Returns nullopt if
@@ -96,13 +123,13 @@ std::optional<RbscSolution> GreedyOverAllowed(const RbscInstance& instance,
       if (!blue_covered[b]) {
         blue_covered[b] = true;
         --blues_left;
-        for (size_t s : incidence.blue_sets[b]) --new_blues[s];
+        for (size_t s : incidence.blue_sets.of(b)) --new_blues[s];
       }
     }
     for (size_t r : instance.sets[best_set].reds) {
       if (!red_covered[r]) {
         red_covered[r] = true;
-        for (size_t s : incidence.red_sets[r]) dirty[s] = true;
+        for (size_t s : incidence.red_sets.of(r)) dirty[s] = true;
       }
     }
   }
@@ -162,13 +189,10 @@ namespace {
 class ExactSearch {
  public:
   ExactSearch(const RbscInstance& instance, uint64_t node_budget)
-      : instance_(instance), budget_(node_budget) {
-    sets_with_blue_.resize(instance.blue_count);
-    for (size_t s = 0; s < instance.sets.size(); ++s) {
-      for (size_t b : instance.sets[s].blues) {
-        sets_with_blue_[b].push_back(s);
-      }
-    }
+      : instance_(instance),
+        budget_(node_budget),
+        sets_with_blue_(instance, &RbscInstance::Set::blues,
+                        instance.blue_count) {
     blue_covered_by_.assign(instance.blue_count, 0);
     red_covered_by_.assign(instance.red_count, 0);
   }
@@ -195,7 +219,7 @@ class ExactSearch {
     size_t pick_options = std::numeric_limits<size_t>::max();
     for (size_t b = 0; b < instance_.blue_count; ++b) {
       if (blue_covered_by_[b] > 0) continue;
-      size_t options = sets_with_blue_[b].size();
+      size_t options = sets_with_blue_.of(b).size();
       if (options < pick_options) {
         pick = b;
         pick_options = options;
@@ -208,7 +232,7 @@ class ExactSearch {
       return;
     }
     if (pick_options == 0) return;  // Dead end.
-    for (size_t s : sets_with_blue_[pick]) {
+    for (size_t s : sets_with_blue_.of(pick)) {
       double marginal = 0.0;
       for (size_t r : instance_.sets[s].reds) {
         if (red_covered_by_[r] == 0) marginal += instance_.RedWeight(r);
@@ -234,7 +258,7 @@ class ExactSearch {
   const RbscInstance& instance_;
   uint64_t budget_;
   uint64_t nodes_ = 0;
-  std::vector<std::vector<size_t>> sets_with_blue_;
+  ElementSets sets_with_blue_;
   std::vector<uint32_t> blue_covered_by_;
   std::vector<uint32_t> red_covered_by_;
   std::vector<size_t> chosen_;

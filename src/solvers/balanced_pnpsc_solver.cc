@@ -12,7 +12,8 @@ Result<VseSolution> BalancedPnpscSolver::Solve(const VseInstance& instance) {
     return Status::FailedPrecondition(
         "±PSC reduction requires unique-witness (key-preserving) views");
   }
-  Result<BalancedToPnpscMapping> mapping = ReduceBalancedToPnpsc(instance);
+  Result<BalancedToPnpscMapping> mapping =
+      ReduceBalancedToPnpsc(instance, negative_of_tuple_);
   if (!mapping.ok()) return mapping.status();
   Result<PnpscSolution> pnpsc_solution =
       SolvePnpsc(mapping->pnpsc, rbsc_solver_);

@@ -1,7 +1,9 @@
 #ifndef DELPROP_SOLVERS_BALANCED_PNPSC_SOLVER_H_
 #define DELPROP_SOLVERS_BALANCED_PNPSC_SOLVER_H_
 
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "dp/solver.h"
 #include "setcover/pnpsc.h"
@@ -15,6 +17,9 @@ namespace delprop {
 ///
 /// Requires unique-witness views (key-preserving / project-free), as the
 /// ±PSC image only models single-witness lineage faithfully.
+///
+/// The object owns the reduction's per-tuple negative-id scratch (see
+/// RbscReductionSolver); one object serves one thread at a time.
 class BalancedPnpscSolver : public VseSolver {
  public:
   using RbscSolverFn =
@@ -31,6 +36,8 @@ class BalancedPnpscSolver : public VseSolver {
  private:
   RbscSolverFn rbsc_solver_;
   std::string name_;
+  // ReduceBalancedToPnpsc's negative-id scratch: all kNpos between solves.
+  std::vector<uint32_t> negative_of_tuple_;
 };
 
 }  // namespace delprop

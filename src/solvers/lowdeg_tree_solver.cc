@@ -19,12 +19,21 @@ Result<VseSolution> LowDegTreeSolver::Solve(const VseInstance& instance) {
   size_t n = forest.node_count();
 
   // Red degree of a node: number of preserved view tuples it is joined into.
-  // The thresholds τ are the distinct red degrees, ascending.
+  // The thresholds τ are the distinct red degrees, ascending. SolveOnTree
+  // reads `undeletable` only for nodes on ΔV paths, so two thresholds that
+  // differ only on other nodes give the same run: the thresholds come from
+  // the ΔV-path nodes alone, one per distinct restriction, in the same
+  // ascending order. (A τ below all of them makes every ΔV-path node
+  // undeletable, which SolveOnTree rejects as infeasible.)
   std::vector<size_t> red_degree(n);
+  std::vector<size_t> thresholds;
+  thresholds.reserve(n);
   for (size_t node = 0; node < n; ++node) {
     red_degree[node] = structure->preserved_through(node).size();
+    if (!structure->delta_through(node).empty()) {
+      thresholds.push_back(red_degree[node]);
+    }
   }
-  std::vector<size_t> thresholds = red_degree;
   std::sort(thresholds.begin(), thresholds.end());
   thresholds.erase(std::unique(thresholds.begin(), thresholds.end()),
                    thresholds.end());
@@ -40,6 +49,11 @@ Result<VseSolution> LowDegTreeSolver::Solve(const VseInstance& instance) {
     }
   }
 
+  // Different restrictions often give the same node set. An equal set has
+  // an equal cost, and the strict `<` below keeps the earlier one, so only a
+  // node set no earlier threshold produced needs a report.
+  std::vector<std::vector<size_t>> answered;
+  answered.reserve(thresholds.size());
   std::optional<VseSolution> best;
   for (size_t tau : thresholds) {
     options.undeletable.assign(n, false);
@@ -49,6 +63,11 @@ Result<VseSolution> LowDegTreeSolver::Solve(const VseInstance& instance) {
     Result<std::vector<size_t>> nodes =
         PrimalDualTreeSolver::SolveOnTree(*structure, options);
     if (!nodes.ok()) continue;  // This τ's restriction is infeasible.
+    if (std::find(answered.begin(), answered.end(), *nodes) !=
+        answered.end()) {
+      continue;
+    }
+    answered.push_back(*nodes);
     DeletionSet deletion;
     for (size_t node : *nodes) deletion.Insert(forest.node_ref(node));
     VseSolution candidate = MakeSolution(instance, std::move(deletion), name());

@@ -12,7 +12,7 @@ Result<VseSolution> RbscReductionSolver::Solve(const VseInstance& instance) {
     return Status::FailedPrecondition(
         "RBSC reduction requires unique-witness (key-preserving) views");
   }
-  Result<VseToRbscMapping> mapping = ReduceVseToRbsc(instance);
+  Result<VseToRbscMapping> mapping = ReduceVseToRbsc(instance, red_of_tuple_);
   if (!mapping.ok()) return mapping.status();
   Result<RbscSolution> rbsc_solution = rbsc_solver_(mapping->rbsc);
   if (!rbsc_solution.ok()) return rbsc_solution.status();

@@ -1,7 +1,9 @@
 #ifndef DELPROP_SOLVERS_RBSC_REDUCTION_SOLVER_H_
 #define DELPROP_SOLVERS_RBSC_REDUCTION_SOLVER_H_
 
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "dp/solver.h"
 #include "setcover/red_blue.h"
@@ -17,6 +19,10 @@ namespace delprop {
 /// Requires every view tuple to have a unique witness (key-preserving or
 /// project-free queries); fails with FailedPrecondition otherwise, because
 /// the RBSC image only models single-witness lineage faithfully.
+///
+/// The object owns the reduction's per-tuple red-id scratch, so a reused
+/// solver pays per request only for the candidates' kill rows; like every
+/// VseSolver, one object serves one thread at a time.
 class RbscReductionSolver : public VseSolver {
  public:
   using RbscSolverFn =
@@ -34,6 +40,8 @@ class RbscReductionSolver : public VseSolver {
  private:
   RbscSolverFn rbsc_solver_;
   std::string name_;
+  // ReduceVseToRbsc's red-id scratch: all kNpos between solves.
+  std::vector<uint32_t> red_of_tuple_;
 };
 
 }  // namespace delprop

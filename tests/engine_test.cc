@@ -13,6 +13,7 @@
 
 #include "common/rng.h"
 #include "engine/batch_engine.h"
+#include "plan/compiled_instance.h"
 #include "solvers/scratch_pool.h"
 #include "solvers/solver_registry.h"
 #include "workload/path_schema.h"
@@ -454,6 +455,54 @@ TEST(BatchEngineTest, ApplyDeltaAdvancesEpochAndServesNewData) {
     EXPECT_EQ(Render(after[i].result),
               Render(MakeSolver("greedy")->Solve(primary)));
   }
+}
+
+// The general-case solvers keep per-tuple and per-base scratch in the
+// solver object (the ILP's CoveringModel, the reductions' id arrays), and a
+// worker keeps its solver objects across deltas. A delta that removes view
+// tuples changes the tuple and base counts under those objects; every
+// answer before and after it must equal a fresh solver's.
+TEST(BatchEngineTest, ReusedGeneralSolversMatchFreshAcrossDelta) {
+  GeneratedVse generated = MakeWorkload();
+  VseInstance& primary = *generated.instance;
+  BatchSolveEngine::Options options;
+  options.threads = 2;
+  options.memo_cache = false;  // every request reaches a worker's solver
+  BatchSolveEngine engine(primary, options);
+
+  auto make_requests = [&] {
+    std::vector<SolveRequest> requests;
+    for (const char* solver : {"ilp", "rbsc-greedy", "rbsc-lowdeg"}) {
+      for (SolveRequest& request : MakeRequests(primary, 8, solver)) {
+        requests.push_back(std::move(request));
+      }
+    }
+    return requests;
+  };
+  auto expect_fresh_answers = [&](const std::vector<SolveRequest>& requests) {
+    std::vector<RequestOutcome> outcomes = engine.SolveBatch(requests);
+    ASSERT_EQ(outcomes.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      SCOPED_TRACE(requests[i].solver + " request " + std::to_string(i));
+      ASSERT_TRUE(outcomes[i].result.ok())
+          << outcomes[i].result.status().ToString();
+      ASSERT_TRUE(primary.ResetDeletions(requests[i].delta_v).ok());
+      EXPECT_EQ(Render(outcomes[i].result),
+                Render(MakeSolver(requests[i].solver)->Solve(primary)));
+    }
+  };
+  expect_fresh_answers(make_requests());
+
+  const size_t tuples_before = primary.TotalViewTuples();
+  const uint32_t bases_before = primary.compiled()->base_count();
+  BaseDelta delta;
+  delta.deletes.push_back(
+      primary.view_tuple(ViewTupleId{0, 0}).witnesses[0][0]);
+  ASSERT_TRUE(engine.ApplyDelta(*generated.database, delta).ok());
+  EXPECT_LT(primary.TotalViewTuples(), tuples_before);
+  EXPECT_LT(primary.compiled()->base_count(), bases_before);
+
+  expect_fresh_answers(make_requests());
 }
 
 // Memoized results were computed against the old base data; a delta must

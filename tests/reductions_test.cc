@@ -1,14 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "dp/side_effect.h"
+#include "plan/compiled_instance.h"
 #include "reductions/balanced_to_pnpsc.h"
 #include "reductions/pnpsc_to_balanced.h"
 #include "reductions/rbsc_to_vse.h"
 #include "reductions/vse_to_rbsc.h"
 #include "setcover/red_blue_solvers.h"
+#include "workload/path_schema.h"
 #include "workload/random_rbsc.h"
 #include "workload/random_workload.h"
+#include "workload/star_schema.h"
 
 namespace delprop {
 namespace {
@@ -130,6 +137,13 @@ TEST(VseToRbscTest, MappedSolutionFeasibleAndCostExact) {
   }
 }
 
+// An instance over `subject`'s database and queries with no ΔV marked.
+Result<VseInstance> Unmarked(const GeneratedVse& subject) {
+  std::vector<const ConjunctiveQuery*> qs;
+  for (const auto& q : subject.queries) qs.push_back(q.get());
+  return VseInstance::Create(*subject.database, qs);
+}
+
 TEST(VseToRbscTest, RequiresMarkedDeletions) {
   Rng rng(43);
   RandomWorkloadParams params;
@@ -137,13 +151,91 @@ TEST(VseToRbscTest, RequiresMarkedDeletions) {
   Result<GeneratedVse> generated = GenerateRandomWorkload(rng, params);
   ASSERT_TRUE(generated.ok());
   // The generator force-marks one deletion; build a fresh instance with none.
-  std::vector<const ConjunctiveQuery*> qs;
-  for (const auto& q : generated->queries) qs.push_back(q.get());
-  Result<VseInstance> fresh =
-      VseInstance::Create(*generated->database, qs);
+  Result<VseInstance> fresh = Unmarked(*generated);
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(ReduceVseToRbsc(*fresh).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+// Instances of different tuple counts for the reused-scratch tests: path
+// forests at three sizes, a star schema and a random workload. Each keeps
+// the ΔV its generator marked.
+std::vector<GeneratedVse> ScratchSubjects() {
+  std::vector<GeneratedVse> subjects;
+  for (size_t roots : {1, 2, 4}) {
+    Rng rng(roots);
+    PathSchemaParams params;
+    params.levels = 4;
+    params.roots = roots;
+    params.fanout = 3;
+    params.deletion_fraction = 0.1;
+    Result<GeneratedVse> forest = GeneratePathSchema(rng, params);
+    EXPECT_TRUE(forest.ok());
+    subjects.push_back(std::move(*forest));
+  }
+  Rng star_rng(5);
+  Result<GeneratedVse> star = GenerateStarSchema(star_rng, {});
+  EXPECT_TRUE(star.ok());
+  subjects.push_back(std::move(*star));
+  Rng random_rng(6);
+  Result<GeneratedVse> random = GenerateRandomWorkload(random_rng, {});
+  EXPECT_TRUE(random.ok());
+  subjects.push_back(std::move(*random));
+  return subjects;
+}
+
+bool AllNpos(const std::vector<uint32_t>& scratch) {
+  return std::all_of(scratch.begin(), scratch.end(), [](uint32_t id) {
+    return id == CompiledInstance::kNpos;
+  });
+}
+
+void ExpectSameRbscMapping(const VseToRbscMapping& a,
+                           const VseToRbscMapping& b) {
+  EXPECT_EQ(a.rbsc.red_count, b.rbsc.red_count);
+  EXPECT_EQ(a.rbsc.blue_count, b.rbsc.blue_count);
+  EXPECT_EQ(a.rbsc.red_weights, b.rbsc.red_weights);
+  ASSERT_EQ(a.rbsc.sets.size(), b.rbsc.sets.size());
+  for (size_t s = 0; s < a.rbsc.sets.size(); ++s) {
+    EXPECT_EQ(a.rbsc.sets[s].reds, b.rbsc.sets[s].reds) << "set " << s;
+    EXPECT_EQ(a.rbsc.sets[s].blues, b.rbsc.sets[s].blues) << "set " << s;
+  }
+  EXPECT_EQ(a.set_tuples, b.set_tuples);
+  EXPECT_EQ(a.red_tuples, b.red_tuples);
+  EXPECT_EQ(a.blue_tuples, b.blue_tuples);
+}
+
+// One red-id array serves reductions of instances with different tuple
+// counts, and a call that fails on an empty ΔV, in a seeded order; every
+// mapping equals a fresh reduction's, and the array is all kNpos after each
+// call.
+TEST(VseToRbscTest, ReusedScratchMatchesFreshReduction) {
+  std::vector<GeneratedVse> subjects = ScratchSubjects();
+  std::vector<uint32_t> scratch;
+  Rng rng(47);
+  size_t reduced = 0;
+  for (int step = 0; step < 40; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const GeneratedVse& subject = subjects[rng.NextBelow(subjects.size())];
+    if (rng.NextBelow(5) == 0) {
+      Result<VseInstance> unmarked = Unmarked(subject);
+      ASSERT_TRUE(unmarked.ok());
+      EXPECT_EQ(ReduceVseToRbsc(*unmarked, scratch).status().code(),
+                StatusCode::kFailedPrecondition);
+      EXPECT_TRUE(AllNpos(scratch));
+      continue;
+    }
+    Result<VseToRbscMapping> reused =
+        ReduceVseToRbsc(*subject.instance, scratch);
+    Result<VseToRbscMapping> fresh = ReduceVseToRbsc(*subject.instance);
+    ASSERT_TRUE(reused.ok()) << reused.status().ToString();
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    ExpectSameRbscMapping(*reused, *fresh);
+    EXPECT_EQ(scratch.size(), subject.instance->compiled()->tuple_count());
+    EXPECT_TRUE(AllNpos(scratch));
+    ++reduced;
+  }
+  EXPECT_GT(reduced, 20u);
 }
 
 // ---------- Theorem 2 / Lemma 1 directions: ±PSC <-> balanced ----------
@@ -227,6 +319,51 @@ TEST(BalancedToPnpscTest, ImageCostMatchesBalancedCost) {
     EXPECT_DOUBLE_EQ(report.balanced_cost, PnpscCost(mapping->pnpsc, choice))
         << "trial " << trial;
   }
+}
+
+// The ±PSC reduction's negative-id array under the same reuse as
+// VseToRbscTest.ReusedScratchMatchesFreshReduction.
+TEST(BalancedToPnpscTest, ReusedScratchMatchesFreshReduction) {
+  std::vector<GeneratedVse> subjects = ScratchSubjects();
+  std::vector<uint32_t> scratch;
+  Rng rng(48);
+  size_t reduced = 0;
+  for (int step = 0; step < 40; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const GeneratedVse& subject = subjects[rng.NextBelow(subjects.size())];
+    if (rng.NextBelow(5) == 0) {
+      Result<VseInstance> unmarked = Unmarked(subject);
+      ASSERT_TRUE(unmarked.ok());
+      EXPECT_EQ(ReduceBalancedToPnpsc(*unmarked, scratch).status().code(),
+                StatusCode::kFailedPrecondition);
+      EXPECT_TRUE(AllNpos(scratch));
+      continue;
+    }
+    Result<BalancedToPnpscMapping> reused =
+        ReduceBalancedToPnpsc(*subject.instance, scratch);
+    Result<BalancedToPnpscMapping> fresh =
+        ReduceBalancedToPnpsc(*subject.instance);
+    ASSERT_TRUE(reused.ok()) << reused.status().ToString();
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    const PnpscInstance& a = reused->pnpsc;
+    const PnpscInstance& b = fresh->pnpsc;
+    EXPECT_EQ(a.positive_count, b.positive_count);
+    EXPECT_EQ(a.negative_count, b.negative_count);
+    EXPECT_EQ(a.positive_weights, b.positive_weights);
+    EXPECT_EQ(a.negative_weights, b.negative_weights);
+    ASSERT_EQ(a.sets.size(), b.sets.size());
+    for (size_t s = 0; s < a.sets.size(); ++s) {
+      EXPECT_EQ(a.sets[s].positives, b.sets[s].positives) << "set " << s;
+      EXPECT_EQ(a.sets[s].negatives, b.sets[s].negatives) << "set " << s;
+    }
+    EXPECT_EQ(reused->set_tuples, fresh->set_tuples);
+    EXPECT_EQ(reused->positive_tuples, fresh->positive_tuples);
+    EXPECT_EQ(reused->negative_tuples, fresh->negative_tuples);
+    EXPECT_EQ(scratch.size(), subject.instance->compiled()->tuple_count());
+    EXPECT_TRUE(AllNpos(scratch));
+    ++reduced;
+  }
+  EXPECT_GT(reduced, 20u);
 }
 
 }  // namespace

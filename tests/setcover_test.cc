@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/rng.h"
 #include "setcover/greedy_set_cover.h"
@@ -111,6 +113,101 @@ TEST(RbscSolversTest, LowDegWithinPelegBoundOnRandomInstances) {
     EXPECT_LE(approx, bound * std::max(opt, 1.0) + 1e-9)
         << "trial " << trial;
   }
+}
+
+// A random RBSC instance whose sets draw members with replacement, so a set
+// may list an element twice; even seeds carry quarter-step red weights,
+// which force score ties. Every blue lies in some set.
+RbscInstance RandomRbscWithRepeats(uint64_t seed) {
+  Rng rng(seed);
+  RbscInstance instance;
+  instance.red_count = 4 + rng.NextBelow(12);
+  instance.blue_count = 3 + rng.NextBelow(8);
+  instance.sets.resize(6 + rng.NextBelow(15));
+  for (RbscInstance::Set& set : instance.sets) {
+    size_t reds = rng.NextBelow(7);
+    for (size_t i = 0; i < reds; ++i) {
+      set.reds.push_back(rng.NextBelow(instance.red_count));
+    }
+    size_t blues = rng.NextBelow(4);
+    for (size_t i = 0; i < blues; ++i) {
+      set.blues.push_back(rng.NextBelow(instance.blue_count));
+    }
+  }
+  for (size_t b = 0; b < instance.blue_count; ++b) {
+    instance.sets[rng.NextBelow(instance.sets.size())].blues.push_back(b);
+  }
+  if (seed % 2 == 0) {
+    for (size_t r = 0; r < instance.red_count; ++r) {
+      instance.red_weights.push_back(0.25 * (1 + rng.NextBelow(8)));
+    }
+  }
+  return instance;
+}
+
+bool ListsAnElementTwice(const RbscInstance& instance) {
+  for (const RbscInstance::Set& set : instance.sets) {
+    for (const std::vector<size_t>* side : {&set.reds, &set.blues}) {
+      std::vector<size_t> sorted = *side;
+      std::sort(sorted.begin(), sorted.end());
+      if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+TEST(RbscSolversTest, AnswersMatchRecordedGoldens) {
+  // Recorded before the element -> set incidence became CSR: every chosen
+  // list must stay exactly as it was, pick order included.
+  using Chosen = std::vector<size_t>;
+  struct Golden {
+    uint64_t seed;
+    Chosen greedy;
+    Chosen lowdeg;
+    Chosen exact;
+  };
+  const Golden goldens[] = {
+      {1, {5, 8, 6, 1}, {5, 8, 6, 1}, {5, 8, 6, 1}},
+      {2, {4, 14, 10}, {4, 14, 10}, {4, 14, 10}},
+      {3, {0, 9, 8, 2, 5, 4}, {0, 9, 8, 2, 5, 4}, {0, 9, 8, 2, 5, 4}},
+      {4, {2, 3, 6, 0}, {2, 3, 6, 0}, {2, 3, 6, 0}},
+      {5, {0, 6, 13, 8, 17, 2}, {0, 6, 13, 8, 17, 2}, {0, 6, 13, 8, 17, 2}},
+      {6, {0, 3, 2, 6}, {0, 3, 2, 6}, {6, 3, 9, 0}},
+      {7, {6, 7, 3}, {6, 7, 3}, {6, 7, 3}},
+      {8, {7, 8, 6, 3}, {7, 8, 6, 3}, {7, 8, 6, 3}},
+      {9, {3, 6, 4}, {3, 6, 2}, {3, 6, 4}},
+      {10, {18, 11, 2, 10, 0, 4, 3}, {18, 11, 2, 10, 0, 6, 3},
+       {18, 11, 2, 10, 0, 4, 3}},
+      {11, {1, 0}, {1, 0}, {1, 0}},
+      {12, {9, 8, 0, 7}, {9, 8, 0, 7}, {9, 8, 0, 7}},
+      {13, {18, 17, 4, 2, 15}, {18, 17, 4, 2, 15}, {18, 17, 4, 2, 15}},
+      {14, {1, 8, 9, 3}, {1, 8, 9, 3}, {1, 8, 9, 3}},
+      {15, {11, 5, 0, 3, 9, 2}, {11, 5, 0, 3, 9, 2}, {11, 5, 0, 3, 9, 2}},
+      {16, {6, 2}, {6, 2}, {6, 2}},
+      {17, {3, 10}, {3, 10}, {3, 10}},
+      {18, {0}, {0}, {0}},
+      {19, {3, 5, 2}, {3, 5, 2}, {3, 5, 2}},
+      {20, {9, 6, 3}, {9, 6, 3}, {9, 6, 3}},
+  };
+  size_t with_repeats = 0;
+  for (const Golden& golden : goldens) {
+    RbscInstance instance = RandomRbscWithRepeats(golden.seed);
+    ASSERT_TRUE(instance.Validate().ok());
+    if (ListsAnElementTwice(instance)) ++with_repeats;
+    std::string label = "seed " + std::to_string(golden.seed);
+    Result<RbscSolution> greedy = SolveRbscGreedy(instance);
+    Result<RbscSolution> lowdeg = SolveRbscLowDegTwo(instance);
+    Result<RbscSolution> exact = SolveRbscExact(instance);
+    ASSERT_TRUE(greedy.ok()) << label;
+    ASSERT_TRUE(lowdeg.ok()) << label;
+    ASSERT_TRUE(exact.ok()) << label;
+    EXPECT_EQ(greedy->chosen, golden.greedy) << label;
+    EXPECT_EQ(lowdeg->chosen, golden.lowdeg) << label;
+    EXPECT_EQ(exact->chosen, golden.exact) << label;
+  }
+  EXPECT_GE(with_repeats, 5u);
 }
 
 TEST(RbscSolversTest, ExactBudgetExhaustionReported) {
