@@ -467,14 +467,16 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
   // ---- Plan maintenance: drop the core if any witness changed. ----------
   // BuildCore is the core's only writer, so the next compiled() rebuilds it.
   // A delta that changed no witness (inserts that join nothing, deletes of
-  // rows outside every witness) leaves the core exact: keep it.
+  // rows outside every witness) leaves the core exact: keep it. A dropped
+  // core is parked for that build to reuse (see VseInstanceCaches); it is
+  // never null here, since the delta read its kill rows.
   if (out.witnesses_removed + out.witnesses_added == 0) {
     InvalidateOverlayCaches();
   } else {
     std::lock_guard<std::mutex> lock(caches_->mu);
     caches_->compiled.reset();
     caches_->retired.reset();
-    caches_->plan_core.reset();
+    caches_->retired_core = std::move(caches_->plan_core);
     ++caches_->plan_stats.core_patch_fallbacks;
   }
 
@@ -553,11 +555,15 @@ Status VseInstance::SetWeight(const ViewTupleId& id, double weight) {
   weights_[id] = weight;
   // Weights live in the plan core, which only BuildCore writes: drop the
   // plan, the retired plan and the core, and let the next compiled()
-  // rebuild. Replicas and in-flight solvers keep the core they hold.
+  // rebuild, as ApplyDelta does. Replicas and in-flight solvers keep the
+  // core they hold. A second reweight before that rebuild keeps the core
+  // the first one parked.
   std::lock_guard<std::mutex> lock(caches_->mu);
   caches_->compiled.reset();
   caches_->retired.reset();
-  caches_->plan_core.reset();
+  if (caches_->plan_core != nullptr) {
+    caches_->retired_core = std::move(caches_->plan_core);
+  }
   return Status::Ok();
 }
 

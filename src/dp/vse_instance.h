@@ -54,6 +54,7 @@ struct PlanBuildStats {
   // benchmark's per-layer report reads it.
   size_t core_patches = 0;
   size_t core_patch_fallbacks = 0;  // ApplyDelta calls that dropped the core
+  size_t core_reuses = 0;  // full builds into a dropped core's storage
 };
 
 namespace internal {
@@ -87,13 +88,17 @@ struct ViewStructure {
 /// ΔV-only mutations keep `plan_core` (the ΔV-independent half of the plan)
 /// and park the dropped plan in `retired`, whose overlay buffers the next
 /// compiled() recycles when nothing else still references them. A base
-/// delta that changes a witness, and every SetWeight, drop all three, so
-/// the next compiled() rebuilds the core from scratch.
+/// delta that changes a witness, and every SetWeight, drop all three and
+/// park the core in `retired_core`, so the next compiled() rebuilds the
+/// core from scratch: into `retired_core`'s arrays when this cache holds
+/// its only reference (checked under `mu`), else into a new core. That
+/// build releases `retired_core` either way.
 struct VseInstanceCaches {
   std::mutex mu;
   std::shared_ptr<const CompiledInstance> compiled;
   std::shared_ptr<const PlanCore> plan_core;
   std::shared_ptr<const CompiledInstance> retired;
+  std::shared_ptr<const PlanCore> retired_core;
   PlanBuildStats plan_stats;
 };
 
@@ -160,10 +165,13 @@ class VseInstance {
   /// testing/mutation.h checks both.
   ///
   /// Cost: a delete touches only the view tuples in its rows' kill rows,
-  /// but compacting a view that lost a tuple is linear in ‖V‖, and so is
-  /// the core rebuild the next compiled() pays. Inserts are joined by
-  /// internal::CollectDeltaMatches, which scans every non-pivot atom's
-  /// relation per partial match (no index).
+  /// but compacting a view that lost a tuple is linear in ‖V‖ (the tuple
+  /// moves plus one branch-free pass over its head index), and so is the
+  /// core rebuild the next compiled() pays: one walk over the views'
+  /// witnesses and a few sequential passes over the core's arrays, built
+  /// into the dropped core's storage when nothing else holds it. Inserts
+  /// are joined by internal::CollectDeltaMatches, which scans every
+  /// non-pivot atom's relation per partial match (no index).
   ///
   /// The whole delta is validated first and rejected without side effects:
   /// inserts must match arity and respect keys (masked rows keep their keys
@@ -179,8 +187,9 @@ class VseInstance {
   /// Plan maintenance: a delta that adds or removes any witness drops the
   /// compiled plan, the retired plan and the core (counted in
   /// plan_stats().core_patch_fallbacks), and the next compiled() rebuilds
-  /// the core once. A delta that changes no witness keeps the core and
-  /// rebuilds only the ΔV overlay.
+  /// the core once (counted in plan_stats().core_reuses when it reused the
+  /// dropped core's storage). A delta that changes no witness keeps the
+  /// core and rebuilds only the ΔV overlay.
   ///
   /// ΔV marks on view tuples that lose their last witness are dropped (the
   /// deletion became a fact of the base data); marks on surviving tuples are

@@ -50,10 +50,11 @@ SharedCoreMutationRule::SharedCoreMutationRule(
       submit_exempt_paths_(std::move(submit_exempt_paths)) {}
 
 std::vector<std::string> SharedCoreMutationRule::DefaultMutationPoints() {
-  // BuildCore/FinishCore assemble a fresh core before publication, and
-  // nothing writes it after; Build/BuildFromCore own the overlay (including
-  // the sole-owner recycle const_cast).
-  return {"BuildCore", "FinishCore", "BuildFromCore", "Build"};
+  // BuildCore/FinishCore fill a core before publication (a new one, or a
+  // dropped one BuildCore holds the only reference to, through its
+  // const_pointer_cast), and nothing writes it after; BuildFromCore owns
+  // the overlay (including the sole-owner recycle const_cast).
+  return {"BuildCore", "FinishCore", "BuildFromCore"};
 }
 
 bool SharedCoreMutationRule::Allowlisted(const SourceFile& file,
@@ -78,22 +79,26 @@ void SharedCoreMutationRule::Check(const SourceFile& file,
   };
 
   // Pass 1: collect variables declared with a mutable core type, and flag
-  // const_cast gateways directly.
+  // const_cast / const_pointer_cast gateways directly.
   std::unordered_set<std::string> tracked;
   for (size_t i = 0; i < n; ++i) {
     if (!IsIdent(toks[i]) || !is_core_type(toks[i])) continue;
     bool const_qualified = i > 0 && toks[i - 1].Is("const");
     bool after_class_key =
         i > 0 && (toks[i - 1].Is("class") || toks[i - 1].Is("struct"));
-    if (i >= 3 && toks[i - 1].Is("<") && toks[i - 2].Is("const_cast")) {
-      // const_cast<PlanCore&>/<CompiledInstance*> — the only way to write
-      // through the shared pointer.
+    if (i >= 3 && toks[i - 1].Is("<") &&
+        (toks[i - 2].Is("const_cast") ||
+         toks[i - 2].Is("const_pointer_cast"))) {
+      // const_cast<PlanCore&>/<CompiledInstance*> and
+      // const_pointer_cast<PlanCore> — the only ways to write through the
+      // shared pointer.
       if (!Allowlisted(file, i)) {
         out->push_back(Diagnostic{
             file.path(), toks[i].line, std::string(name()),
-            "const_cast to mutable " + std::string(toks[i].text) +
+            std::string(toks[i - 2].text) + " to mutable " +
+                std::string(toks[i].text) +
                 " outside a sanctioned mutation point (allowed: BuildCore/"
-                "FinishCore/BuildFromCore/Build)"});
+                "FinishCore/BuildFromCore)"});
       }
       continue;
     }
@@ -162,7 +167,7 @@ void SharedCoreMutationRule::Check(const SourceFile& file,
           file.path(), toks[i].line, std::string(name()),
           detail + " on shared-core variable '" + std::string(toks[i].text) +
               "' outside a sanctioned mutation point (allowed: BuildCore/"
-              "FinishCore/BuildFromCore/Build)"});
+              "FinishCore/BuildFromCore)"});
     }
   }
 

@@ -171,11 +171,11 @@ class HotPathAllocationRule : public Rule {
 /// shared-core-mutation: a write to `PlanCore`/`CompiledInstance` state
 /// outside the sanctioned mutation points. The compiled core is shared
 /// immutably across worker replicas; every legal mutation lives in
-/// `BuildCore`/`FinishCore` (the core's only writers) or
-/// `BuildFromCore`/`Build` (the overlay). Tracked forms: mutable
-/// declarations (`PlanCore*`, `PlanCore&`, non-const `shared_ptr<...>`)
-/// whose variables are later assigned through or passed to mutating
-/// methods, and any `const_cast` that strips const from a core type. Also
+/// `BuildCore`/`FinishCore` (the core's only writers) or `BuildFromCore`
+/// (the overlay). Tracked forms: mutable declarations (`PlanCore*`,
+/// `PlanCore&`, non-const `shared_ptr<...>`) whose variables are later
+/// assigned through or passed to mutating methods, and any `const_cast` or
+/// `std::const_pointer_cast` that strips const from a core type. Also
 /// flags ThreadPool task lambdas (`Submit([&]...)`) capturing by reference
 /// outside src/runtime/ — `ParallelFor` blocks before returning, `Submit`
 /// does not, so by-reference captures outlive their frame.

@@ -18,7 +18,10 @@ namespace delprop {
 /// from it, across replicas (`VseInstance::Replicate`), and across threads.
 /// BuildCore is its only writer and nothing writes it after BuildCore
 /// returns: a base delta that changes a witness, or a reweight, drops the
-/// core, and the next `VseInstance::compiled()` builds a new one.
+/// core, and the next `VseInstance::compiled()` builds a new one. That
+/// build reuses the dropped core's arrays when nothing else holds it (no
+/// replica, plan or tracker), so a refresh allocates no new core; it
+/// rewrites every field before the core is published again.
 struct PlanCore {
   std::vector<uint32_t> view_first;  // per view: first dense tuple id
   std::vector<uint32_t> tuple_view;  // per tuple: owning view
@@ -92,12 +95,6 @@ class CompiledInstance {
  public:
   /// Sentinel for "no dense id" (absent base tuple, non-ΔV tuple).
   static constexpr uint32_t kNpos = 0xFFFFFFFFu;
-
-  /// Compiles `instance` from scratch (core + overlay). The instance must
-  /// outlive nothing — the plan copies everything it needs and holds no
-  /// pointer back.
-  static std::shared_ptr<const CompiledInstance> Build(
-      const VseInstance& instance);
 
   /// Compiles only the ΔV overlay over an existing `core`. `deletions` must
   /// be sorted ascending with every id in range (the VseInstance mark/reset

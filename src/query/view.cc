@@ -93,12 +93,20 @@ void View::RemoveTuples(const std::vector<size_t>& sorted_indices) {
   }
   tuples_.resize(write);
   // Re-point without rehashing any key: a survivor's index drops by the
-  // number of removed indices below it. One sequential pass over the table.
+  // number of removed indices below it. One sequential pass over the table
+  // with no branch on the slot's contents: the count is a binary search
+  // whose steps depend only on the number removed, and an empty slot
+  // selects a zero shift. O(slots · log removed).
+  const size_t* removed = sorted_indices.data();
+  size_t removed_count = sorted_indices.size();
   for (uint32_t& index : slots_) {
-    if (index == kEmptySlot) continue;
-    index -= static_cast<uint32_t>(
-        std::lower_bound(sorted_indices.begin(), sorted_indices.end(), index) -
-        sorted_indices.begin());
+    const size_t* base = removed;
+    for (size_t n = removed_count; n > 1; n -= n / 2) {
+      base += base[n / 2] < index ? n / 2 : 0;
+    }
+    uint32_t below = static_cast<uint32_t>(base - removed) + (*base < index);
+    // A mask, not a conditional: compilers turn `? :` here into a branch.
+    index -= below & (0u - static_cast<uint32_t>(index != kEmptySlot));
   }
 }
 

@@ -50,15 +50,16 @@ bool DamageTracker::PrepareState() {
   deleted_.reserve(base_count);
   epoch_ = 1;
   touch_.Bind(witness_count, tuple_count);
-  state_core_ = plan_->core().get();  // freshly zeroed arrays are pristine
   return false;
 }
 
 void DamageTracker::ClearState() {
-  // A sparse rollback replays the touch log against the layout it was
-  // recorded under, so it requires the same core and a log that never
-  // overflowed its caps.
-  if (!touch_.overflow && state_core_ == plan_->core().get()) {
+  // Every counter becomes nonzero through a logged 0 → 1 step, so zeroing
+  // the logged positions restores all-zero arrays whatever core the log
+  // was recorded under: the rollback reads positions, not the layout, and
+  // PrepareState keeps the arrays only when their sizes stay the same. It
+  // needs only a log that never overflowed its caps.
+  if (!touch_.overflow) {
     for (uint32_t wid : touch_.witnesses) witness_hits_[wid] = 0;
     for (uint32_t dense : touch_.tuples) dead_witnesses_[dense] = 0;
   } else {
@@ -66,7 +67,6 @@ void DamageTracker::ClearState() {
     std::fill(dead_witnesses_.begin(), dead_witnesses_.end(), 0);
   }
   touch_.Clear();
-  state_core_ = plan_->core().get();
 }
 
 void DamageTracker::Reset() {

@@ -296,7 +296,7 @@ class DamageTracker {
   /// storage was reused.
   bool PrepareState();
   /// Rolls the counters back to pristine (sparse when the touch log
-  /// allows), clears the log, and restamps `state_core_`.
+  /// allows) and clears the log.
   void ClearState();
 
   std::shared_ptr<const CompiledInstance> plan_;
@@ -308,9 +308,6 @@ class DamageTracker {
   std::vector<uint32_t> dead_witnesses_;
   // Transition log driving the sparse Reset/Rebind rollback.
   TouchLog touch_;
-  // Core whose layout the dirty state (and touch log) was produced under;
-  // a sparse rollback is only sound against the same core.
-  const void* state_core_ = nullptr;
 
   // Per base: stamp == epoch_ iff deleted; epoch bump clears all in O(1).
   std::vector<uint32_t> deleted_stamp_;

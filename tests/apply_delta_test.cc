@@ -8,6 +8,7 @@
 #include "dp/base_delta.h"
 #include "dp/vse_instance.h"
 #include "plan/compiled_instance.h"
+#include "solvers/scratch_pool.h"
 #include "workload/author_journal.h"
 
 namespace delprop {
@@ -331,6 +332,71 @@ TEST_F(ApplyDeltaTest, SetWeightRebuildsCoreAndLeavesReplicaPlansFrozen) {
   EXPECT_EQ(primary_plan->weight(primary_plan->DenseOf(id)), 9.0);
   EXPECT_EQ(primary_plan->weight(primary_plan->DenseOf(other)), 4.0);
   ExpectMatchesReindex();
+}
+
+// The rebuild after a witness-changing delta or a reweight fills the core
+// the instance dropped when the instance is its sole owner: the same
+// address, the same bytes as a from-scratch build of the same views.
+TEST_F(ApplyDeltaTest, SoleOwnerRebuildsIntoTheDroppedCore) {
+  const PlanCore* core = instance().compiled()->core().get();
+  ASSERT_EQ(instance().plan_stats().core_reuses, 0u);
+
+  BaseDelta witnessed;
+  witnessed.deletes.push_back(Row("T1", 3));  // (John, TODS)
+  witnessed.inserts.push_back(T1Insert("Bob", "TKDE"));
+  ASSERT_TRUE(instance().ApplyDelta(db(), witnessed).ok());
+  EXPECT_EQ(instance().compiled()->core().get(), core);
+  PlanBuildStats stats = instance().plan_stats();
+  EXPECT_EQ(stats.full_builds, 2u);
+  EXPECT_EQ(stats.core_reuses, 1u);
+  ExpectMatchesReindex();
+
+  ASSERT_TRUE(instance().SetWeight(ViewTupleId{0, 2}, 3.0).ok());
+  ASSERT_TRUE(instance().SetWeight(ViewTupleId{1, 1}, 0.5).ok());
+  EXPECT_EQ(instance().compiled()->core().get(), core);
+  stats = instance().plan_stats();
+  EXPECT_EQ(stats.full_builds, 3u);
+  EXPECT_EQ(stats.core_reuses, 2u);
+  ExpectMatchesReindex();
+}
+
+// Anything else that still holds the dropped core — a replica, a plan
+// handed out before the core was dropped (here retired by a ΔV mark), a
+// pooled tracker — blocks the reuse: the rebuild allocates a new core and
+// the held one keeps its bytes.
+TEST_F(ApplyDeltaTest, HeldCoreBlocksReuseAndStaysFrozen) {
+  enum Holder { kReplica, kRetiredPlan, kPooledTracker };
+  for (Holder holder : {kReplica, kRetiredPlan, kPooledTracker}) {
+    SCOPED_TRACE(holder);
+    SetUp();
+    const PlanCore snapshot = *instance().compiled()->core();
+    std::optional<VseInstance> replica;
+    std::shared_ptr<const CompiledInstance> retired_plan;
+    ScratchPool pool;
+    const PlanCore* held = nullptr;  // the old core, as the holder reads it
+    switch (holder) {
+      case kReplica:
+        replica.emplace(instance().Replicate());
+        held = replica->compiled()->core().get();
+        break;
+      case kRetiredPlan:
+        retired_plan = instance().compiled();
+        ASSERT_TRUE(instance().MarkForDeletion(ViewTupleId{0, 0}).ok());
+        held = retired_plan->core().get();
+        break;
+      case kPooledTracker:
+        held = pool.AcquireTracker(instance())->plan().core().get();
+        break;
+    }
+
+    BaseDelta witnessed;
+    witnessed.deletes.push_back(Row("T1", 3));  // (John, TODS)
+    ASSERT_TRUE(instance().ApplyDelta(db(), witnessed).ok());
+    EXPECT_NE(instance().compiled()->core().get(), held);
+    EXPECT_EQ(instance().plan_stats().core_reuses, 0u);
+    EXPECT_TRUE(*held == snapshot);
+    ExpectMatchesReindex();
+  }
 }
 
 // Satellite regression: ResetDeletions used to rebuild a shadow hash set per

@@ -6,13 +6,16 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "dp/base_delta.h"
 #include "dp/side_effect.h"
 #include "plan/compiled_instance.h"
 #include "query/parser.h"
 #include "relational/database.h"
 #include "relational/tuple_ref.h"
 #include "solvers/damage_tracker.h"
+#include "solvers/scratch_pool.h"
 #include "workload/author_journal.h"
+#include "workload/path_schema.h"
 #include "workload/random_workload.h"
 
 namespace delprop {
@@ -413,6 +416,79 @@ TEST(TrackerRegressionTest,
   // Back-to-back reset on an untouched tracker is a no-op.
   tracker.Reset();
   expect_pristine("idle reset");
+}
+
+// A live-style leaf swap keeps the tuple, witness and base counts, and the
+// rebuild fills the dropped core in place, so the pooled tracker keeps its
+// arrays and rolls the previous request's touch log back under a core at
+// the same address whose ids have shifted. The rollback zeroes the logged
+// positions, whatever the layout; the tracker must then read and answer
+// like a fresh one.
+TEST(TrackerRegressionTest, PooledTrackerMatchesFreshAcrossLeafSwap) {
+  Rng rng(5);
+  PathSchemaParams params;
+  params.levels = 4;
+  params.roots = 2;
+  params.fanout = 2;
+  Result<GeneratedVse> generated = GeneratePathSchema(rng, params);
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  VseInstance& instance = *generated->instance;
+  Database& db = *generated->database;
+
+  // The first request deletes L2 row 1, whose base id the swap below keeps
+  // while its witnesses and view tuples move down by one, and leaf row 5,
+  // whose ids all move. Nine witnesses stay under the touch log's caps, so
+  // the next acquire rolls back sparsely.
+  RelationId leaf = *db.schema().FindRelation("L3");
+  RelationId level2 = *db.schema().FindRelation("L2");
+  ScratchPool pool;
+  DamageTracker* tracker = pool.AcquireTracker(instance);
+  tracker->Delete(TupleRef{level2, 1});
+  tracker->Delete(TupleRef{leaf, 5});
+  const CompiledInstance* plan = &tracker->plan();
+  const PlanCore* core = plan->core().get();
+  const uint32_t tuples = plan->tuple_count();
+  const uint32_t witnesses = plan->witness_count();
+  const uint32_t bases = plan->base_count();
+  pool.ReleasePlans();
+
+  // Leaf row 0 shares its parent with row 1, so a new leaf under that
+  // parent replaces exactly the witnesses the delete removes.
+  const Tuple& old_leaf = db.relation(leaf).row(0);
+  BaseDelta swap;
+  swap.deletes.push_back(TupleRef{leaf, 0});
+  swap.inserts.push_back(BaseInsert{
+      leaf, {db.dict().Intern("swapped"), old_leaf[1], old_leaf[2]}});
+  ApplyDeltaReport report;
+  ASSERT_TRUE(instance.ApplyDelta(db, swap, {}, &report).ok());
+  ASSERT_GT(report.view_tuples_removed, 0u);
+
+  tracker = pool.AcquireTracker(instance);
+  plan = &tracker->plan();
+  EXPECT_EQ(plan->core().get(), core);
+  EXPECT_EQ(instance.plan_stats().core_reuses, 1u);
+  ASSERT_EQ(plan->tuple_count(), tuples);
+  ASSERT_EQ(plan->witness_count(), witnesses);
+  ASSERT_EQ(plan->base_count(), bases);
+  EXPECT_EQ(pool.stats().tracker_reuses, 1u);
+
+  DamageTracker fresh(instance);
+  for (uint32_t w = 0; w < witnesses; ++w) {
+    ASSERT_EQ(tracker->witness_hits(w), 0u) << "witness " << w;
+  }
+  for (uint32_t d = 0; d < tuples; ++d) {
+    ASSERT_EQ(tracker->dead_witness_count(d), 0u) << "tuple " << d;
+  }
+  for (uint32_t base : plan->candidate_bases()) {
+    EXPECT_EQ(tracker->MarginalDamageBase(base), fresh.MarginalDamageBase(base))
+        << "base " << base;
+    EXPECT_EQ(tracker->DeleteBase(base), fresh.DeleteBase(base))
+        << "base " << base;
+    EXPECT_EQ(tracker->unkilled_deletion_count(),
+              fresh.unkilled_deletion_count());
+    EXPECT_EQ(tracker->killed_preserved_weight(),
+              fresh.killed_preserved_weight());
+  }
 }
 
 }  // namespace

@@ -505,6 +505,53 @@ TEST(BatchEngineTest, ReusedGeneralSolversMatchFreshAcrossDelta) {
   expect_fresh_answers(make_requests());
 }
 
+// Live-style leaf swaps through the engine. By the time the primary
+// recompiles, the workers and the memo cache hold nothing of the old core,
+// so every rebuild fills the core the delta dropped; the fleet must answer
+// exactly as a fresh engine over a re-index of the same views does.
+TEST(BatchEngineTest, DeltaRebuildsIntoTheDroppedCoreAndMatchesAFreshEngine) {
+  GeneratedVse generated = MakeWorkload();
+  VseInstance& primary = *generated.instance;
+  Database& db = *generated.database;
+  std::vector<const ConjunctiveQuery*> queries;
+  for (const auto& query : generated.queries) queries.push_back(query.get());
+  BatchSolveEngine::Options options;
+  options.threads = 4;
+  BatchSolveEngine engine(primary, options);
+  RelationId leaf = *db.schema().FindRelation("L3");
+
+  for (uint32_t step = 0; step < 3; ++step) {
+    SCOPED_TRACE(step);
+    (void)engine.SolveBatch(MakeRequests(primary, 8, "greedy"));
+    // Even leaf rows share their parent with the next row, so the swap
+    // keeps the instance's shape.
+    const Tuple& old_leaf = db.relation(leaf).row(2 * step);
+    BaseDelta swap;
+    swap.deletes.push_back(TupleRef{leaf, 2 * step});
+    swap.inserts.push_back(BaseInsert{
+        leaf,
+        {db.dict().Intern("swapped" + std::to_string(step)), old_leaf[1],
+         old_leaf[2]}});
+    ASSERT_TRUE(engine.ApplyDelta(db, swap).ok());
+    EXPECT_EQ(primary.plan_stats().core_reuses, step + 1);
+
+    std::vector<View> views;
+    for (size_t v = 0; v < primary.view_count(); ++v) {
+      views.push_back(primary.view(v));
+    }
+    Result<VseInstance> reindexed =
+        VseInstance::CreateFromMaterializedViews(db, queries, std::move(views));
+    ASSERT_TRUE(reindexed.ok()) << reindexed.status().ToString();
+    BatchSolveEngine fresh(*reindexed, options);
+    for (const char* solver : {"greedy", "ilp", "local-search"}) {
+      std::vector<SolveRequest> requests = MakeRequests(primary, 8, solver);
+      EXPECT_EQ(RenderAll(engine.SolveBatch(requests)),
+                RenderAll(fresh.SolveBatch(requests)))
+          << solver;
+    }
+  }
+}
+
 // Memoized results were computed against the old base data; a delta must
 // evict them, and a repeated request must re-solve instead of replaying the
 // stale cached outcome.

@@ -338,6 +338,37 @@ TEST(SharedCoreMutationTest, SetWeightAndPatchCoreAreNotMutationPoints) {
   }
 }
 
+// std::const_pointer_cast strips const from a shared core just as
+// const_cast does: flagged outside the builders, allowed in BuildCore, which
+// refills a dropped core it holds the only reference to.
+TEST(SharedCoreMutationTest, FlagsConstPointerCastOutsideMutationPoints) {
+  std::vector<Diagnostic> diags = RunSemanticRule(
+      std::make_unique<SharedCoreMutationRule>(),
+      {{"src/dp/a.cc", R"(
+        void Tweak(const std::shared_ptr<const PlanCore>& shared) {
+          std::const_pointer_cast<PlanCore>(shared)->weight[0] = 2.0;
+        }
+      )"}});
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].rule, "shared-core-mutation");
+  EXPECT_NE(diags[0].message.find("const_pointer_cast"), std::string::npos);
+}
+
+TEST(SharedCoreMutationTest, ConstPointerCastAllowedInBuildCore) {
+  std::vector<Diagnostic> diags = RunSemanticRule(
+      std::make_unique<SharedCoreMutationRule>(),
+      {{"src/plan/a.cc", R"(
+        std::shared_ptr<const PlanCore> BuildCore(
+            std::shared_ptr<const PlanCore> storage) {
+          std::shared_ptr<PlanCore> core =
+              std::const_pointer_cast<PlanCore>(std::move(storage));
+          core->weight.assign(4, 1.0);
+          return core;
+        }
+      )"}});
+  EXPECT_TRUE(diags.empty());
+}
+
 TEST(SharedCoreMutationTest, FlagsSubmitByReferenceOutsideRuntime) {
   std::vector<Diagnostic> diags = RunSemanticRule(
       std::make_unique<SharedCoreMutationRule>(),

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -232,6 +235,223 @@ TEST(PlanFuzzTest, DenseRoundTripOverFuzzSeeds) {
       ASSERT_EQ(plan->FindBase(plan->base_ref(b)), b) << "seed " << seed;
     }
   }
+}
+
+// --- Recorded cores ---------------------------------------------------------
+
+// Size and FNV-1a hash of one core array's bytes, one line per array. Doubles
+// are hashed by their bit pattern, so -0.0 and 0.0 differ.
+template <typename T>
+std::string ArrayLine(const char* name, const std::vector<T>& values) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  const unsigned char* bytes =
+      reinterpret_cast<const unsigned char*>(values.data());
+  for (size_t i = 0; i < values.size() * sizeof(T); ++i) {
+    hash = (hash ^ bytes[i]) * 0x100000001b3ULL;
+  }
+  char line[96];
+  std::snprintf(line, sizeof(line), "%s %zu %016llx\n", name, values.size(),
+                static_cast<unsigned long long>(hash));
+  return line;
+}
+
+/// Every PlanCore field, as the lines the goldens below were recorded in.
+std::string CoreDigest(const PlanCore& core) {
+  return ArrayLine("view_first", core.view_first) +
+         ArrayLine("tuple_view", core.tuple_view) +
+         ArrayLine("weight", core.weight) +
+         ArrayLine("tuple_witness_first", core.tuple_witness_first) +
+         ArrayLine("witness_owner", core.witness_owner) +
+         ArrayLine("witness_member_first", core.witness_member_first) +
+         ArrayLine("witness_member_base", core.witness_member_base) +
+         ArrayLine("base_refs", core.base_refs) +
+         ArrayLine("base_occ_first", core.base_occ_first) +
+         ArrayLine("occ_tuple", core.occ_tuple) +
+         ArrayLine("occ_witness", core.occ_witness) +
+         ArrayLine("base_kill_first", core.base_kill_first) +
+         ArrayLine("kill_tuple", core.kill_tuple) + "min_witness_raw_members " +
+         std::to_string(core.min_witness_raw_members) + "\n";
+}
+
+/// A database and its queries, evaluated into an instance.
+struct ParsedInstance {
+  Database db;
+  std::vector<std::unique_ptr<ConjunctiveQuery>> queries;
+  std::unique_ptr<VseInstance> instance;
+};
+
+/// Parses `query_texts` over `parsed->db` and evaluates them into
+/// `parsed->instance`; false (with a test failure) on any error.
+bool Evaluate(ParsedInstance* parsed,
+              const std::vector<const char*>& query_texts) {
+  std::vector<const ConjunctiveQuery*> queries;
+  for (const char* text : query_texts) {
+    Result<ConjunctiveQuery> query =
+        ParseQuery(text, parsed->db.schema(), parsed->db.dict());
+    EXPECT_TRUE(query.ok()) << query.status().ToString();
+    if (!query.ok()) return false;
+    parsed->queries.push_back(
+        std::make_unique<ConjunctiveQuery>(std::move(*query)));
+    queries.push_back(parsed->queries.back().get());
+  }
+  Result<VseInstance> instance = VseInstance::Create(parsed->db, queries);
+  EXPECT_TRUE(instance.ok()) << instance.status().ToString();
+  if (!instance.ok()) return false;
+  parsed->instance = std::make_unique<VseInstance>(std::move(*instance));
+  return true;
+}
+
+/// Every base's KilledBy lists each view tuple once, ascending.
+void ExpectKilledByListsEachTupleOnce(const VseInstance& instance) {
+  for (const TupleRef& ref : instance.compiled()->core()->base_refs) {
+    std::vector<ViewTupleId> killed = instance.KilledBy(ref);
+    ASSERT_FALSE(killed.empty());
+    for (size_t k = 1; k < killed.size(); ++k) {
+      EXPECT_TRUE(killed[k - 1] < killed[k])
+          << "relation " << ref.relation << " row " << ref.row;
+    }
+  }
+}
+
+// A projection: Q(a1) and Q(a2) each have two witnesses through the same R
+// row (two S rows share y = b1), so that row's occurrence row lists the
+// tuple twice and its kill row once.
+constexpr const char* kProjectionCore = R"(view_first 3 7337d825d9ad933e
+tuple_view 8 031001be9253e9f4
+weight 8 01254f26d3b0bba5
+tuple_witness_first 9 e6f2988f1837057c
+witness_owner 10 29666791376965c4
+witness_member_first 11 d531d96c289de443
+witness_member_base 20 8208da25b1e6a785
+base_refs 6 64fcba9aef76d344
+base_occ_first 7 180349e24a2b7b1b
+occ_tuple 20 dc71f0aa9ca737c5
+occ_witness 20 cf85e55b98630ce5
+base_kill_first 7 e44b4b05943016b6
+kill_tuple 18 48d16ce7f4ac8dd4
+min_witness_raw_members 2
+)";
+// A self-join: E(a, a) fills both atoms of Q(a, a)'s witness, and the other
+// witnesses list their members in descending row order.
+constexpr const char* kSelfJoinCore = R"(view_first 3 f377c7c1cf28bc72
+tuple_view 4 e82573b10ac9a7d4
+weight 4 d137d9e6997fe665
+tuple_witness_first 5 2b1ecd5c20779f13
+witness_owner 6 c75e46e5581a2f95
+witness_member_first 7 ea9872bf279d9edb
+witness_member_base 12 bd6c5e9e79098a45
+base_refs 3 cc84144751d96376
+base_occ_first 4 f8913517331976ab
+occ_tuple 10 64c1e999899a68a4
+occ_witness 10 87986f745ffcff32
+base_kill_first 4 d796a40f919d47aa
+kill_tuple 8 abbe9d3dd7c0b9e4
+min_witness_raw_members 2
+)";
+// Fig. 1 with explicit weights, one of them -0.0.
+constexpr const char* kWeightedFig1Core = R"(view_first 3 f6378723bb80ea8e
+tuple_view 13 22cb2e56d50bc574
+weight 13 5e11391a420fe4d1
+tuple_witness_first 14 717925514631cdb8
+witness_owner 14 66947ac5734944b8
+witness_member_first 15 800e4e9cd458e2cb
+witness_member_base 28 67f60af6133e7765
+base_refs 7 1c3dafa45bd259f7
+base_occ_first 8 139a6821ed35fcb9
+occ_tuple 28 cbed09f453b70835
+occ_witness 28 26eb96fbd08b70e5
+base_kill_first 8 139a6821ed35fcb9
+kill_tuple 28 cbed09f453b70835
+min_witness_raw_members 2
+)";
+// The 1x path forest (6 levels, 3 roots, fanout 3) after a leaf swap.
+constexpr const char* kSwappedForestCore = R"(view_first 6 c7eff1f473885976
+tuple_view 3645 3ebe117ab0262c71
+weight 3645 65f15f1b12ee98f8
+tuple_witness_first 3646 d71abe11fc8738a8
+witness_owner 3645 77f3eee89501770f
+witness_member_first 3646 799ac7a3c4247a01
+witness_member_base 14580 dbe67816fd2d8281
+base_refs 1092 73b655d9f536ee69
+base_occ_first 1093 a0cd91ceb6c75006
+occ_tuple 14580 e61c5de8ea0312f5
+occ_witness 14580 e61c5de8ea0312f5
+base_kill_first 1093 a0cd91ceb6c75006
+kill_tuple 14580 e61c5de8ea0312f5
+min_witness_raw_members 2
+)";
+
+// Every core array against digests recorded from an earlier builder (two
+// witness walks, a flattened dedup copy in FinishCore): the builder must
+// reproduce them byte for byte, including after a delta, when it rebuilds
+// into the dropped core. The kill rows' per-tuple dedup shows only where
+// one base lies in two witnesses of one view tuple (the projection and the
+// self-join).
+TEST(PlanTest, CoreMatchesRecordedGoldens) {
+  ParsedInstance projection;
+  {
+    Database& db = projection.db;
+    RelationId r = *db.AddRelation("R", 2, {0});
+    RelationId s = *db.AddRelation("S", 2, {1});
+    for (auto [x, y] : {std::pair{"a1", "b1"}, {"a2", "b1"}, {"a3", "b2"}}) {
+      ASSERT_TRUE(db.InsertText(r, {x, y}).ok());
+    }
+    for (auto [y, z] : {std::pair{"b1", "c1"}, {"b1", "c2"}, {"b2", "c3"}}) {
+      ASSERT_TRUE(db.InsertText(s, {y, z}).ok());
+    }
+  }
+  ASSERT_TRUE(Evaluate(&projection, {"Q(x) :- R(x, y), S(y, z)",
+                                     "P(x, z) :- R(x, y), S(y, z)"}));
+  ASSERT_FALSE(projection.instance->all_unique_witness());
+  EXPECT_EQ(CoreDigest(*projection.instance->compiled()->core()),
+            kProjectionCore);
+  ExpectKilledByListsEachTupleOnce(*projection.instance);
+
+  ParsedInstance self_join;
+  {
+    Database& db = self_join.db;
+    RelationId e = *db.AddRelation("E", 2, {0, 1});
+    for (auto [x, y] : {std::pair{"b", "c"}, {"a", "b"}, {"a", "a"}}) {
+      ASSERT_TRUE(db.InsertText(e, {x, y}).ok());
+    }
+  }
+  ASSERT_TRUE(Evaluate(&self_join, {"Q(x, z) :- E(x, y), E(y, z)",
+                                    "S(x) :- E(x, y), E(y, z)"}));
+  EXPECT_EQ(CoreDigest(*self_join.instance->compiled()->core()),
+            kSelfJoinCore);
+  ExpectKilledByListsEachTupleOnce(*self_join.instance);
+
+  Result<GeneratedVse> fig1 = BuildFig1Example();
+  ASSERT_TRUE(fig1.ok()) << fig1.status().ToString();
+  VseInstance& weighted = *fig1->instance;
+  ASSERT_TRUE(weighted.SetWeight(ViewTupleId{0, 1}, 2.5).ok());
+  ASSERT_TRUE(weighted.SetWeight(ViewTupleId{0, 2}, -0.0).ok());
+  ASSERT_TRUE(weighted.SetWeight(ViewTupleId{1, 0}, 0.0).ok());
+  ASSERT_TRUE(weighted.SetWeight(ViewTupleId{1, 3}, 0.125).ok());
+  std::shared_ptr<const PlanCore> weighted_core = weighted.compiled()->core();
+  EXPECT_TRUE(std::signbit(weighted_core->weight[2]));
+  EXPECT_EQ(CoreDigest(*weighted_core), kWeightedFig1Core);
+  ExpectKilledByListsEachTupleOnce(weighted);
+
+  Rng rng(7);
+  PathSchemaParams params;
+  params.levels = 6;
+  params.roots = 3;
+  params.fanout = 3;
+  Result<GeneratedVse> forest = GeneratePathSchema(rng, params);
+  ASSERT_TRUE(forest.ok()) << forest.status().ToString();
+  Database& db = *forest->database;
+  RelationId leaf = *db.schema().FindRelation("L5");
+  const Tuple& swapped = db.relation(leaf).row(7);
+  BaseDelta swap;
+  swap.deletes.push_back(TupleRef{leaf, 7});
+  swap.inserts.push_back(
+      BaseInsert{leaf, {db.dict().Intern("swapped"), swapped[1], swapped[2]}});
+  ASSERT_TRUE(forest->instance->ApplyDelta(db, swap).ok());
+  EXPECT_EQ(CoreDigest(*forest->instance->compiled()->core()),
+            kSwappedForestCore);
+  EXPECT_EQ(forest->instance->plan_stats().core_reuses, 1u);
+  ExpectKilledByListsEachTupleOnce(*forest->instance);
 }
 
 // Base interning reads ids from a per-database-row table. This database has
