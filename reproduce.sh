@@ -101,17 +101,29 @@ if [ "${DELPROP_SKIP_SANITIZE:-0}" != "1" ]; then
     | tee test_output_asan.txt
 
   # ThreadSanitizer pass over the concurrent substrate: the runtime tests,
-  # the multi-threaded solver-comparison bench, and the batch engine tests
-  # (the memo cache, with its FIFO eviction, is the only state the engine's
-  # workers share). A data race in the thread pool, the shared index cache
-  # or the memo fails this step even though the plain build is green.
+  # the multi-threaded solver-comparison bench, the batch engine tests (the
+  # memo cache, with its FIFO eviction, is the only state the engine's
+  # workers share), and the plan and delta tests, which build cores and
+  # compact views on a pool (ranges that write disjoint slots, and row marks
+  # two ranges may store to at once). A data race in the thread pool, the
+  # shared index cache, the memo or a pooled build fails this step even
+  # though the plain build is green.
+  # As in the bench loop, each run's status is checked here, not through
+  # tee (sh has no pipefail), so a race report (exit 66) stops the script.
   cmake -B build-tsan -G Ninja -DDELPROP_SANITIZE=thread
   cmake --build build-tsan --target runtime_test bench_solver_comparison \
-    engine_test engine_determinism_test
-  ./build-tsan/tests/runtime_test 2>&1 | tee test_output_tsan.txt
-  ./build-tsan/bench/bench_solver_comparison --threads 4 2>&1 \
-    | tee -a test_output_tsan.txt
-  ./build-tsan/tests/engine_test 2>&1 | tee -a test_output_tsan.txt
-  ./build-tsan/tests/engine_determinism_test 2>&1 \
-    | tee -a test_output_tsan.txt
+    engine_test engine_determinism_test plan_test apply_delta_test
+  : > test_output_tsan.txt
+  for t in tests/runtime_test "bench/bench_solver_comparison --threads 4" \
+      tests/engine_test tests/engine_determinism_test tests/plan_test \
+      tests/apply_delta_test; do
+    status=0
+    ./build-tsan/$t > tsan_last_output.txt 2>&1 || status=$?
+    tee -a test_output_tsan.txt < tsan_last_output.txt
+    if [ "$status" -ne 0 ]; then
+      echo "TSan run failed: $t (exit $status)" >&2
+      exit 1
+    fi
+  done
+  rm -f tsan_last_output.txt
 fi

@@ -7,6 +7,7 @@
 
 #include "plan/compiled_instance.h"
 #include "query/query_properties.h"
+#include "runtime/thread_pool.h"
 
 namespace delprop {
 
@@ -340,7 +341,7 @@ Status VseInstance::ValidateDelta(const Database& database,
 
 Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
                                const ApplyDeltaOptions& options,
-                               ApplyDeltaReport* report) {
+                               ApplyDeltaReport* report, ThreadPool* pool) {
   if (&database != database_) {
     return Status::InvalidArgument(
         "ApplyDelta must be given the instance's own database");
@@ -352,7 +353,7 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
   }
   // The pre-delta core, built first if none is cached: its kill rows answer
   // every "which view tuples use this row" lookup below.
-  std::shared_ptr<const PlanCore> old_core = CurrentCore();
+  std::shared_ptr<const PlanCore> old_core = CurrentCore(pool);
   if (Status s = ValidateDelta(database, delta, options, *old_core); !s.ok()) {
     return s;
   }
@@ -395,10 +396,12 @@ Status VseInstance::ApplyDelta(Database& database, const BaseDelta& delta,
 
   // ---- Compact dead tuples and re-index everything keyed by tuple id. ----
   if (remap.any()) {
-    for (size_t v = 0; v < structure.views.size(); ++v) {
+    // One view per task: a view's compaction touches only its own tuples
+    // and head index.
+    ParallelFor(pool, structure.views.size(), [&](size_t v) {
       const std::vector<size_t>& dead = remap.dead(v);
       if (!dead.empty()) structure.views[v].RemoveTuples(dead);
-    }
+    });
     // ΔV: marks on dead tuples became facts of the base data; survivors
     // shift. Both preserve sortedness (shifts are monotone within a view).
     size_t write = 0;
@@ -635,12 +638,13 @@ std::vector<TupleRef> VseInstance::CandidateTuples() const {
   return out;
 }
 
-std::shared_ptr<const PlanCore> VseInstance::CurrentCore() const {
+std::shared_ptr<const PlanCore> VseInstance::CurrentCore(
+    ThreadPool* pool) const {
   {
     std::lock_guard<std::mutex> lock(caches_->mu);
     if (caches_->plan_core != nullptr) return caches_->plan_core;
   }
-  return compiled()->core();
+  return compiled(pool)->core();
 }
 
 std::vector<ViewTupleId> VseInstance::KilledBy(const TupleRef& ref) const {

@@ -18,6 +18,7 @@ namespace delprop {
 
 class CompiledInstance;
 struct PlanCore;
+class ThreadPool;
 
 /// Identifies one view tuple across the multi-view input: (view index, tuple
 /// index within that view).
@@ -173,6 +174,12 @@ class VseInstance {
   /// are joined by internal::CollectDeltaMatches, which scans every
   /// non-pivot atom's relation per partial match (no index).
   ///
+  /// With a non-null `pool`, the views that lost tuples are compacted on its
+  /// workers, one view per task, and a pre-delta core that has to be built
+  /// first is built through compiled(pool). The inserts' join stays on the
+  /// calling thread. The result is the same for every pool, and `pool` must
+  /// not be the pool whose worker runs the caller.
+  ///
   /// The whole delta is validated first and rejected without side effects:
   /// inserts must match arity and respect keys (masked rows keep their keys
   /// occupied — re-inserting a logically deleted row's key is an error),
@@ -201,7 +208,8 @@ class VseInstance {
   /// drop-replicas / re-replicate epoch handoff.
   Status ApplyDelta(Database& database, const BaseDelta& delta,
                     const ApplyDeltaOptions& options = {},
-                    ApplyDeltaReport* report = nullptr);
+                    ApplyDeltaReport* report = nullptr,
+                    ThreadPool* pool = nullptr);
 
   /// Marks the view tuple as a member of ΔV (idempotent).
   Status MarkForDeletion(const ViewTupleId& id);
@@ -257,7 +265,14 @@ class VseInstance {
   /// integer-interned ids plus CSR incidence arrays for every solver hot
   /// path. Built lazily on first use, cached, and shared read-only across
   /// threads; invalidated by MarkForDeletion / ApplyDelta / SetWeight.
-  std::shared_ptr<const CompiledInstance> compiled() const;
+  ///
+  /// A full core build runs its passes on `pool`'s workers when `pool` is
+  /// non-null; a cache hit or an overlay rebuild over a kept core ignores
+  /// it. The plan is the same for every pool (`PlanCore ==` to a pool-less
+  /// build). The calling thread holds the cache lock while the workers
+  /// build, and `pool` must not be the pool whose worker runs the caller.
+  std::shared_ptr<const CompiledInstance> compiled(
+      ThreadPool* pool = nullptr) const;
 
   /// How this instance's compiled plans were produced so far (full builds
   /// vs overlay-only rebinds vs buffer recycles vs dropped cores). Snapshot
@@ -327,9 +342,9 @@ class VseInstance {
   Status ValidateWitnesses();
 
   /// The cached plan core, or — when none is cached — the core of a lazy
-  /// full build through compiled(). Its kill rows are the instance's only
-  /// base → view-tuple index.
-  std::shared_ptr<const PlanCore> CurrentCore() const;
+  /// full build through compiled(pool). Its kill rows are the instance's
+  /// only base → view-tuple index.
+  std::shared_ptr<const PlanCore> CurrentCore(ThreadPool* pool = nullptr) const;
 
   /// Copy-on-write access to the view structure: detaches a private copy
   /// when replicas still share it, so their snapshot stays frozen.

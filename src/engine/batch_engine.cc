@@ -53,16 +53,16 @@ size_t BatchSolveEngine::CacheKeyHash::operator()(
 BatchSolveEngine::BatchSolveEngine(VseInstance& instance, Options options)
     : options_(options), primary_(&instance) {
   if (options_.threads == 0) options_.threads = 1;
+  if (options_.threads > 1) {
+    pool_ = std::make_unique<ThreadPool>(options_.threads);
+  }
   // Compile the primary's plan before replicating so every replica starts
   // from the one shared core (and the current plan) instead of building its
-  // own.
-  (void)instance.compiled();
+  // own. A core built here is built on the workers.
+  (void)instance.compiled(pool_.get());
   workers_.reserve(options_.threads);
   for (size_t w = 0; w < options_.threads; ++w) {
     workers_.push_back(std::make_unique<Worker>(instance.Replicate()));
-  }
-  if (options_.threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.threads);
   }
 }
 
@@ -262,13 +262,15 @@ Status BatchSolveEngine::ApplyDelta(Database& database, const BaseDelta& delta,
     worker->scratch.ReleasePlans();
     worker->replica.reset();
   }
+  // No batch runs during a delta, so its O(‖V‖) passes (the views'
+  // compaction, the core rebuild) run on the idle workers.
   Status applied = primary_->ApplyDelta(database, delta, delta_options,
-                                        report);
+                                        report, pool_.get());
   // Recompile once on the primary (a rebuilt core if the delta changed a
   // witness, and a fresh overlay), then hand the result to every worker —
   // on validation failure the primary is unchanged and this simply
   // restores the fleet.
-  (void)primary_->compiled();
+  (void)primary_->compiled(pool_.get());
   for (std::unique_ptr<Worker>& worker : workers_) {
     worker->replica.emplace(primary_->Replicate());
   }

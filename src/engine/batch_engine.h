@@ -107,7 +107,8 @@ struct EngineStats {
 class BatchSolveEngine {
  public:
   struct Options {
-    /// Worker replicas; > 1 also spins up an internal ThreadPool.
+    /// Worker replicas; > 1 also spins up an internal ThreadPool, on which
+    /// the engine's core builds and ApplyDelta's compaction run too.
     size_t threads = 1;
     /// Memoize (solver, ΔV) → decision (status, ΔD, solver name, gap)
     /// until the next successful ApplyDelta; hits rebuild the report.
@@ -144,7 +145,8 @@ class BatchSolveEngine {
   /// core-epoch advances and the memo cache is cleared (cached decisions
   /// were made against the old base data). On validation failure the primary
   /// is untouched and the epoch keeps its value, but replicas are rebuilt
-  /// either way.
+  /// either way. With more than one worker, the delta's view compaction and
+  /// the core rebuild run on the engine's pool, which no batch is using.
   Status ApplyDelta(Database& database, const BaseDelta& delta,
                     const ApplyDeltaOptions& delta_options = {},
                     ApplyDeltaReport* report = nullptr);

@@ -1,10 +1,14 @@
 #include "plan/compiled_instance.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <memory>
 #include <unordered_map>
+#include <utility>
 
 #include "query/view.h"
+#include "runtime/thread_pool.h"
 
 namespace delprop {
 
@@ -27,6 +31,42 @@ void SizeTo(std::vector<T>* v, size_t n) {
     v->reserve(n);
   }
   v->resize(n);
+}
+
+/// The number of contiguous ranges each pass of a build is split into: one
+/// per worker of `pool`, or one without a pool.
+size_t PartCount(ThreadPool* pool) {
+  return pool == nullptr ? 1 : pool->thread_count();
+}
+
+/// First index of range `part` of `parts` near-equal contiguous ranges
+/// splitting [0, n).
+size_t RangeBegin(size_t n, size_t parts, size_t part) {
+  return n * part / parts;
+}
+
+/// First row of range `part` of `parts` contiguous ranges of the CSR rows
+/// delimited by `first` (one entry per row plus the end), balanced by the
+/// number of entries rather than of rows.
+size_t BalancedRangeBegin(const std::vector<uint32_t>& first, size_t parts,
+                          size_t part) {
+  if (part == parts) return first.size() - 1;
+  size_t target = RangeBegin(first.back(), parts, part);
+  return static_cast<size_t>(
+      std::lower_bound(first.begin(), first.end(), target) - first.begin());
+}
+
+/// Runs task(0) ... task(count - 1): in order on the calling thread without
+/// a pool, else spread over the pool's workers by ParallelFor. The inline
+/// loop makes no std::function, so a pool-less build allocates nothing but
+/// its arrays.
+template <typename Task>
+void RunTasks(ThreadPool* pool, size_t count, const Task& task) {
+  if (pool == nullptr) {
+    for (size_t i = 0; i < count; ++i) task(i);
+  } else {
+    ParallelFor(pool, count, task);
+  }
 }
 
 /// Calls fn(base) once for each distinct base of witness `wid`'s member row.
@@ -54,70 +94,126 @@ void ForEachDistinctMember(const PlanCore& core, uint32_t wid, Fn&& fn) {
 }
 
 /// Tail of BuildCore: derives the occurrence and kill CSR arrays from the
-/// witness member rows, reading each row twice (count, then fill) and
-/// allocating nothing beyond the core's own arrays. Filling in ascending
-/// wid order leaves every per-base occurrence row sorted by (tuple,
-/// witness) — the invariant MarginalDamage relies on to walk runs — and the
-/// kill rows are its per-base run-dedup.
-void FinishCore(PlanCore* core) {
+/// witness member rows, reading each row twice (count, then fill). Every
+/// per-base occurrence row comes out sorted by (tuple, witness) — the
+/// invariant MarginalDamage relies on to walk runs — and the kill rows are
+/// its per-base run-dedup.
+///
+/// Each pass runs over PartCount(pool) contiguous ranges, on the pool's
+/// workers when there is one; the arrays are the same for every pool. The
+/// occurrence passes split the witnesses: range k counts into its own
+/// per-base histogram, and one serial prefix turns the histograms into
+/// per-range fill cursors, placing range k's entries after those of the
+/// ranges before it in every base row, so each row stays in ascending
+/// witness order. The last range counts into `base_occ_first` itself
+/// (slot b + 1): after the shifted prefix, slot b + 1 is that range's
+/// cursor for b, and once the fill is done it holds b's end, which is
+/// b + 1's start. So a pool-less build, a single range, allocates nothing
+/// beyond the core's own arrays. The kill passes split the bases.
+void FinishCore(PlanCore* core, ThreadPool* pool) {
   uint32_t base_count = core->base_count();
-  uint32_t witness_count = core->witness_count();
-  // Counted into slot b + 1, then shifted prefix sums leave b's first slot
-  // there, so the same array is the fill cursor: once b's row is filled,
-  // slot b + 1 holds its end, which is b + 1's start.
+  size_t parts = PartCount(pool);
   std::vector<uint32_t>& occ_first = core->base_occ_first;
-  occ_first.assign(static_cast<size_t>(base_count) + 1, 0);
-  for (uint32_t wid = 0; wid < witness_count; ++wid) {
-    ForEachDistinctMember(*core, wid,
-                          [&](uint32_t base) { ++occ_first[base + 1]; });
+  SizeTo(&occ_first, static_cast<size_t>(base_count) + 1);
+  // The histograms of all ranges but the last, one block of base_count
+  // each. Allocated here, on the calling thread, and zeroed by their range.
+  std::unique_ptr<uint32_t[]> histograms;
+  if (parts > 1) {
+    histograms =
+        std::make_unique_for_overwrite<uint32_t[]>((parts - 1) * base_count);
   }
+  auto cursors = [&](size_t part) {
+    return part + 1 == parts ? occ_first.data() + 1
+                             : histograms.get() + part * base_count;
+  };
+  auto witness_range = [&](size_t part) {
+    return std::pair<uint32_t, uint32_t>(
+        BalancedRangeBegin(core->witness_member_first, parts, part),
+        BalancedRangeBegin(core->witness_member_first, parts, part + 1));
+  };
+  RunTasks(pool, parts, [&](size_t part) {
+    uint32_t* counts = cursors(part);
+    std::fill(counts, counts + base_count, 0);
+    auto [begin, end] = witness_range(part);
+    for (uint32_t wid = begin; wid < end; ++wid) {
+      ForEachDistinctMember(*core, wid, [&](uint32_t base) { ++counts[base]; });
+    }
+  });
+  occ_first[0] = 0;
   uint32_t occ_total = 0;
   for (uint32_t b = 0; b < base_count; ++b) {
+    for (size_t part = 0; part + 1 < parts; ++part) {
+      uint32_t& cursor = histograms[part * base_count + b];
+      uint32_t count = cursor;
+      cursor = occ_total;
+      occ_total += count;
+    }
     uint32_t count = occ_first[b + 1];
     occ_first[b + 1] = occ_total;
     occ_total += count;
   }
   SizeTo(&core->occ_tuple, occ_total);
   SizeTo(&core->occ_witness, occ_total);
-  uint32_t min_members = witness_count == 0 ? 0 : CompiledInstance::kNpos;
-  for (uint32_t wid = 0; wid < witness_count; ++wid) {
-    uint32_t owner = core->witness_owner[wid];
-    min_members = std::min(min_members, core->witness_member_first[wid + 1] -
-                                            core->witness_member_first[wid]);
-    ForEachDistinctMember(*core, wid, [&](uint32_t base) {
-      uint32_t slot = occ_first[base + 1]++;
-      core->occ_tuple[slot] = owner;
-      core->occ_witness[slot] = wid;
-    });
-  }
-  core->min_witness_raw_members = min_members;
+  RunTasks(pool, parts, [&](size_t part) {
+    uint32_t* cursor = cursors(part);
+    auto [begin, end] = witness_range(part);
+    for (uint32_t wid = begin; wid < end; ++wid) {
+      uint32_t owner = core->witness_owner[wid];
+      ForEachDistinctMember(*core, wid, [&](uint32_t base) {
+        uint32_t slot = cursor[base]++;
+        core->occ_tuple[slot] = owner;
+        core->occ_witness[slot] = wid;
+      });
+    }
+  });
 
   // Kill rows: unique view tuples per base, in row order (ascending (view,
-  // tuple)) — the per-base run-dedup of the occurrence rows.
-  core->base_kill_first.assign(static_cast<size_t>(base_count) + 1, 0);
-  for (uint32_t b = 0; b < base_count; ++b) {
+  // tuple)) — the per-base run-dedup of the occurrence rows. The bases are
+  // split into ranges balanced by occurrences. Each range first writes the
+  // prefix sums of its own kill counts; a serial pass over the ranges gives
+  // each its offset, which its fill adds as it goes.
+  std::vector<uint32_t>& kill_first = core->base_kill_first;
+  SizeTo(&kill_first, static_cast<size_t>(base_count) + 1);
+  kill_first[0] = 0;
+  RunTasks(pool, parts, [&](size_t part) {
     uint32_t kills = 0;
-    uint32_t prev = CompiledInstance::kNpos;
-    for (uint32_t slot = occ_first[b]; slot < occ_first[b + 1]; ++slot) {
-      if (core->occ_tuple[slot] != prev) {
-        prev = core->occ_tuple[slot];
-        ++kills;
+    for (size_t b = BalancedRangeBegin(occ_first, parts, part),
+                end = BalancedRangeBegin(occ_first, parts, part + 1);
+         b < end; ++b) {
+      uint32_t prev = CompiledInstance::kNpos;
+      for (uint32_t slot = occ_first[b]; slot < occ_first[b + 1]; ++slot) {
+        if (core->occ_tuple[slot] != prev) {
+          prev = core->occ_tuple[slot];
+          ++kills;
+        }
+      }
+      kill_first[b + 1] = kills;
+    }
+  });
+  std::vector<uint32_t> kill_offset(parts + 1, 0);
+  for (size_t part = 0; part < parts; ++part) {
+    size_t end = BalancedRangeBegin(occ_first, parts, part + 1);
+    uint32_t range_kills =
+        end == BalancedRangeBegin(occ_first, parts, part) ? 0 : kill_first[end];
+    kill_offset[part + 1] = kill_offset[part] + range_kills;
+  }
+  SizeTo(&core->kill_tuple, kill_offset[parts]);
+  RunTasks(pool, parts, [&](size_t part) {
+    uint32_t out = kill_offset[part];
+    for (size_t b = BalancedRangeBegin(occ_first, parts, part),
+                end = BalancedRangeBegin(occ_first, parts, part + 1);
+         b < end; ++b) {
+      kill_first[b + 1] += kill_offset[part];
+      uint32_t prev = CompiledInstance::kNpos;
+      for (uint32_t slot = occ_first[b]; slot < occ_first[b + 1]; ++slot) {
+        uint32_t t = core->occ_tuple[slot];
+        if (t != prev) {
+          prev = t;
+          core->kill_tuple[out++] = t;
+        }
       }
     }
-    core->base_kill_first[b + 1] = core->base_kill_first[b] + kills;
-  }
-  SizeTo(&core->kill_tuple, core->base_kill_first[base_count]);
-  for (uint32_t b = 0; b < base_count; ++b) {
-    uint32_t out = core->base_kill_first[b];
-    uint32_t prev = CompiledInstance::kNpos;
-    for (uint32_t slot = occ_first[b]; slot < occ_first[b + 1]; ++slot) {
-      uint32_t t = core->occ_tuple[slot];
-      if (t != prev) {
-        prev = t;
-        core->kill_tuple[out++] = t;
-      }
-    }
-  }
+  });
 }
 
 /// Builds the core of `instance` under `weights` (with its tail FinishCore,
@@ -125,10 +221,19 @@ void FinishCore(PlanCore* core) {
 /// dropped, or null. When the caller holds its only reference, the new core
 /// is built in its arrays; nothing else can read it meanwhile. Otherwise a
 /// new core is allocated. Both run the same code and rewrite every field.
+///
+/// Every pass over view tuples, witnesses, members or bases runs as
+/// PartCount(pool) contiguous ranges, on `pool`'s workers when there is
+/// one, and every array comes out the same for every pool. Each range is
+/// sized first and written at offsets an exclusive prefix over the ranges
+/// hands out, so no range reads another's output. Tasks read the instance
+/// and write the core only: nothing in them takes the instance's cache
+/// lock, which compiled() holds around the build.
 std::shared_ptr<const PlanCore> BuildCore(
     const VseInstance& instance,
     const std::unordered_map<ViewTupleId, double, ViewTupleIdHash>& weights,
-    std::shared_ptr<const PlanCore> storage, PlanBuildStats* stats) {
+    std::shared_ptr<const PlanCore> storage, ThreadPool* pool,
+    PlanBuildStats* stats) {
   std::shared_ptr<PlanCore> core;
   if (storage != nullptr && storage.use_count() == 1) {
     core = std::const_pointer_cast<PlanCore>(std::move(storage));
@@ -137,47 +242,77 @@ std::shared_ptr<const PlanCore> BuildCore(
     core = std::make_shared<PlanCore>();
   }
 
-  // Sizes first. View tuples get dense ids in ascending (view, tuple)
-  // order. Witness counts sit in each ViewTuple, and every witness of view
-  // v has one member per body atom of query v (ValidateWitnesses checks
-  // it), so sizing reads no witness's heap block.
+  // View tuples get dense ids in ascending (view, tuple) order. The walk
+  // runs as tasks: task v * parts + k covers range k of view v's tuples.
   size_t view_count = instance.view_count();
+  size_t parts = PartCount(pool);
+  size_t task_count = view_count * parts;
   SizeTo(&core->view_first, view_count + 1);
   uint32_t tuple_count = 0;
-  size_t witness_total = 0;
-  size_t member_total = 0;
   for (size_t v = 0; v < view_count; ++v) {
-    const View& view = instance.view(v);
     core->view_first[v] = tuple_count;
-    tuple_count += static_cast<uint32_t>(view.size());
-    size_t view_witnesses = 0;
-    for (size_t t = 0; t < view.size(); ++t) {
-      view_witnesses += view.tuple(t).witnesses.size();
-    }
-    witness_total += view_witnesses;
-    member_total += view_witnesses * instance.query(v).atoms().size();
+    tuple_count += static_cast<uint32_t>(instance.view(v).size());
   }
   core->view_first[view_count] = tuple_count;
-  SizeTo(&core->tuple_view, tuple_count);
-  for (size_t v = 0; v < view_count; ++v) {
-    std::fill(core->tuple_view.begin() + core->view_first[v],
-              core->tuple_view.begin() + core->view_first[v + 1],
-              static_cast<uint32_t>(v));
+  auto task_tuples = [&](size_t task) {
+    size_t size = instance.view(task / parts).size();
+    return std::pair<size_t, size_t>(
+        RangeBegin(size, parts, task % parts),
+        RangeBegin(size, parts, task % parts + 1));
+  };
+
+  // Sizes first: each task's witness count, then an exclusive prefix over
+  // the tasks gives each its first witness id and member slot. Every
+  // witness of view v has one member per body atom of query v
+  // (ValidateWitnesses checks it), so member counts follow from witness
+  // counts, and so does the narrowest member row. When every view tuple has
+  // exactly one witness, witness counts are tuple counts: sizing reads no
+  // ViewTuple.
+  struct TaskStart {
+    uint32_t witness = 0;
+    uint32_t member = 0;
+  };
+  std::vector<TaskStart> task_start(task_count + 1);
+  bool unique_witness = instance.all_unique_witness();
+  if (!unique_witness) {
+    RunTasks(pool, task_count, [&](size_t task) {
+      const View& view = instance.view(task / parts);
+      auto [begin, end] = task_tuples(task);
+      size_t witnesses = 0;
+      for (size_t t = begin; t < end; ++t) {
+        witnesses += view.tuple(t).witnesses.size();
+      }
+      task_start[task].witness = static_cast<uint32_t>(witnesses);
+    });
   }
-  // Unset weights are 1; each explicit one lands in its own slot, so the
-  // map's order does not matter.
-  core->weight.assign(tuple_count, 1.0);
-  for (const auto& [id, weight] : weights) {
-    assert(id.view < view_count && id.tuple < instance.view(id.view).size());
-    core->weight[core->view_first[id.view] + id.tuple] = weight;
+  size_t witness_total = 0;
+  size_t member_total = 0;
+  uint32_t min_members = CompiledInstance::kNpos;
+  for (size_t task = 0; task < task_count; ++task) {
+    auto [begin, end] = task_tuples(task);
+    size_t witnesses =
+        unique_witness ? end - begin : task_start[task].witness;
+    size_t atoms = instance.query(task / parts).atoms().size();
+    assert(member_total + witnesses * atoms < CompiledInstance::kNpos);
+    task_start[task] = TaskStart{static_cast<uint32_t>(witness_total),
+                                 static_cast<uint32_t>(member_total)};
+    witness_total += witnesses;
+    member_total += witnesses * atoms;
+    if (witnesses > 0) {
+      min_members = std::min(min_members, static_cast<uint32_t>(atoms));
+    }
   }
+  task_start[task_count] = TaskStart{static_cast<uint32_t>(witness_total),
+                                     static_cast<uint32_t>(member_total)};
+  core->min_witness_raw_members = witness_total == 0 ? 0 : min_members;
 
   // Base interning through a row table: one slot per database row, laid out
   // in (relation, row) order by the prefix offsets `row_first`. The walk
-  // below stores each member's row slot and marks it; one pass over the
-  // table in order then hands out ascending base ids — ascending TupleRef
-  // order, exactly the ids a sort of all members would assign — and one
-  // pass over the member rows swaps each row slot for its base id.
+  // below stores each member's row slot and marks it; one serial pass over
+  // the table counts the marked rows and one more hands out ascending base
+  // ids — ascending TupleRef order, exactly the ids a sort of all members
+  // would assign — and one pass over the member rows swaps each row slot
+  // for its base id.
   // O(members + database rows), with no sort and no search. Witness refs
   // are in range: ValidateWitnesses checks them at creation and ApplyDelta
   // appends only validated rows.
@@ -192,20 +327,29 @@ std::shared_ptr<const PlanCore> BuildCore(
   std::vector<uint32_t> base_of_row(row_first[relation_count],
                                    CompiledInstance::kNpos);
 
-  // The one walk over the witnesses: CSR offsets, owners, member row slots.
+  // The one walk over the witnesses: per tuple its view, weight 1 and
+  // witness CSR offset; per witness its owner and member offset; per member
+  // its row slot.
+  SizeTo(&core->tuple_view, tuple_count);
+  SizeTo(&core->weight, tuple_count);
   SizeTo(&core->tuple_witness_first, static_cast<size_t>(tuple_count) + 1);
   SizeTo(&core->witness_owner, witness_total);
   SizeTo(&core->witness_member_first, witness_total + 1);
   SizeTo(&core->witness_member_base, member_total);
-  uint32_t wid = 0;
-  uint32_t member_slot = 0;
-  uint32_t base_count = 0;
-  for (size_t v = 0; v < view_count; ++v) {
+  RunTasks(pool, task_count, [&](size_t task) {
+    size_t v = task / parts;
     const View& view = instance.view(v);
-    for (size_t t = 0; t < view.size(); ++t) {
+    auto [begin, end] = task_tuples(task);
+    uint32_t wid = task_start[task].witness;
+    uint32_t member_slot = task_start[task].member;
+    for (size_t t = begin; t < end; ++t) {
       uint32_t d = core->view_first[v] + static_cast<uint32_t>(t);
+      core->tuple_view[d] = static_cast<uint32_t>(v);
+      core->weight[d] = 1.0;
       core->tuple_witness_first[d] = wid;
-      for (const Witness& witness : view.tuple(t).witnesses) {
+      const std::vector<Witness>& witnesses = view.tuple(t).witnesses;
+      assert(!unique_witness || witnesses.size() == 1);
+      for (const Witness& witness : witnesses) {
         assert(witness.size() == instance.query(v).atoms().size());
         core->witness_owner[wid] = d;
         core->witness_member_first[wid] = member_slot;
@@ -216,16 +360,30 @@ std::shared_ptr<const PlanCore> BuildCore(
                      row_first[ref.relation + 1] - row_first[ref.relation]);
           uint32_t row = row_first[ref.relation] + ref.row;
           core->witness_member_base[member_slot++] = row;
-          uint32_t& mark = base_of_row[row];
-          base_count += mark == CompiledInstance::kNpos;
-          mark = 0;
+          // Two ranges can mark the same row; the marks are relaxed atomic
+          // stores of one value, which ParallelFor's join publishes.
+          std::atomic_ref<uint32_t>(base_of_row[row])
+              .store(0, std::memory_order_relaxed);
         }
       }
     }
+    assert(wid == task_start[task + 1].witness);
+  });
+  core->tuple_witness_first[tuple_count] =
+      static_cast<uint32_t>(witness_total);
+  core->witness_member_first[witness_total] =
+      static_cast<uint32_t>(member_total);
+  // Each explicit weight lands in its own slot, so the map's order does not
+  // matter.
+  for (const auto& [id, weight] : weights) {
+    assert(id.view < view_count && id.tuple < instance.view(id.view).size());
+    core->weight[core->view_first[id.view] + id.tuple] = weight;
   }
-  core->tuple_witness_first[tuple_count] = wid;
-  core->witness_member_first[wid] = member_slot;
 
+  uint32_t base_count = 0;
+  for (uint32_t mark : base_of_row) {
+    base_count += mark != CompiledInstance::kNpos;
+  }
   SizeTo(&core->base_refs, base_count);
   uint32_t next_base = 0;
   for (RelationId r = 0; r < relation_count; ++r) {
@@ -235,10 +393,15 @@ std::shared_ptr<const PlanCore> BuildCore(
       core->base_refs[next_base++] = TupleRef{r, i - row_first[r]};
     }
   }
-  for (uint32_t& member : core->witness_member_base) {
-    member = base_of_row[member];
-  }
-  FinishCore(core.get());
+  RunTasks(pool, parts, [&](size_t part) {
+    std::vector<uint32_t>& members = core->witness_member_base;
+    for (size_t slot = RangeBegin(member_total, parts, part),
+                end = RangeBegin(member_total, parts, part + 1);
+         slot < end; ++slot) {
+      members[slot] = base_of_row[members[slot]];
+    }
+  });
+  FinishCore(core.get(), pool);
   return core;
 }
 
@@ -315,7 +478,8 @@ std::shared_ptr<const CompiledInstance> CompiledInstance::BuildFromCore(
 // (or overlay) construction; every later call is a cache hit. Allocation
 // here is the sanctioned cost of rebinding, not per-pick work.
 // delprop-hot-stop
-std::shared_ptr<const CompiledInstance> VseInstance::compiled() const {
+std::shared_ptr<const CompiledInstance> VseInstance::compiled(
+    ThreadPool* pool) const {
   std::lock_guard<std::mutex> lock(caches_->mu);
   if (caches_->compiled == nullptr) {
     if (caches_->plan_core != nullptr) {
@@ -330,12 +494,12 @@ std::shared_ptr<const CompiledInstance> VseInstance::compiled() const {
         ++caches_->plan_stats.overlay_recycles;
       }
     } else {
-      // A full build: into the storage of the core a delta or SetWeight
-      // dropped when nothing else holds it. The parked core is released
-      // either way.
+      // A full build, on `pool`'s workers when given: into the storage of
+      // the core a delta or SetWeight dropped when nothing else holds it.
+      // The parked core is released either way.
       ++caches_->plan_stats.full_builds;
       caches_->plan_core =
-          BuildCore(*this, weights_, std::move(caches_->retired_core),
+          BuildCore(*this, weights_, std::move(caches_->retired_core), pool,
                     &caches_->plan_stats);
       caches_->compiled = CompiledInstance::BuildFromCore(
           caches_->plan_core, deletion_tuples_, nullptr);

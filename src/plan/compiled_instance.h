@@ -21,7 +21,9 @@ namespace delprop {
 /// core, and the next `VseInstance::compiled()` builds a new one. That
 /// build reuses the dropped core's arrays when nothing else holds it (no
 /// replica, plan or tracker), so a refresh allocates no new core; it
-/// rewrites every field before the core is published again.
+/// rewrites every field before the core is published again. Given a pool
+/// (`compiled(pool)`), BuildCore runs its passes as ranges on the pool's
+/// workers, and the core is the same as a pool-less build's.
 struct PlanCore {
   std::vector<uint32_t> view_first;  // per view: first dense tuple id
   std::vector<uint32_t> tuple_view;  // per tuple: owning view

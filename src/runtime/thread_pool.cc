@@ -6,6 +6,14 @@
 
 namespace delprop {
 
+namespace {
+
+/// The pool whose worker is running on this thread, or null on a thread no
+/// pool owns. ParallelFor reads it to run a nested loop inline.
+thread_local const ThreadPool* current_pool = nullptr;
+
+}  // namespace
+
 ThreadPool::ThreadPool(size_t threads) {
   threads = std::max<size_t>(1, threads);
   workers_.reserve(threads);
@@ -38,6 +46,7 @@ void ThreadPool::Wait() {
 }
 
 void ThreadPool::WorkerLoop() {
+  current_pool = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -61,7 +70,11 @@ void ThreadPool::WorkerLoop() {
 void ParallelFor(ThreadPool* pool, size_t count,
                  const std::function<void(size_t)>& body) {
   if (count == 0) return;
-  if (pool == nullptr || pool->thread_count() <= 1 || count == 1) {
+  // A body that calls ParallelFor on the pool running it would block its
+  // worker on runners queued behind it; when every worker does, nothing
+  // runs them. Such a nested loop runs inline instead.
+  if (pool == nullptr || pool->thread_count() <= 1 || count == 1 ||
+      pool == current_pool) {
     for (size_t i = 0; i < count; ++i) body(i);
     return;
   }

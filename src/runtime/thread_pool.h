@@ -60,7 +60,9 @@ class ThreadPool {
 /// workers; the calling thread blocks until every iteration has finished.
 /// With a null pool (or a single worker, or a single iteration) the loop runs
 /// inline on the calling thread — callers write one code path and switch
-/// parallelism with a flag.
+/// parallelism with a flag. A call from one of `pool`'s own workers (a body
+/// of an outer ParallelFor on the same pool) also runs inline: blocking that
+/// worker on runners queued behind it would deadlock once every worker did.
 ///
 /// Iterations are claimed dynamically (atomic counter), so the mapping of
 /// iteration to thread is nondeterministic; bodies must be independent and

@@ -10,6 +10,7 @@
 #include "dp/base_delta.h"
 #include "dp/vse_instance.h"
 #include "plan/compiled_instance.h"
+#include "runtime/thread_pool.h"
 #include "solvers/solver_registry.h"
 #include "testing/fuzzer.h"
 
@@ -204,7 +205,7 @@ void CheckDerivedState(const VseInstance& live, const VseInstance& shadow,
 }
 
 void RunOneCase(const MutationFuzzOptions& options, size_t index,
-                CaseOutcome* outcome) {
+                ThreadPool* build_pool, CaseOutcome* outcome) {
   outcome->seed = DeriveTaskSeed(options.seed_start, index);
   Result<FuzzCase> generated = GenerateFuzzCase(outcome->seed);
   if (!generated.ok()) {
@@ -226,7 +227,7 @@ void RunOneCase(const MutationFuzzOptions& options, size_t index,
     if (delta.empty()) continue;
 
     ApplyDeltaReport report;
-    Status applied = live.ApplyDelta(db, delta, {}, &report);
+    Status applied = live.ApplyDelta(db, delta, {}, &report, build_pool);
     if (!applied.ok()) {
       outcome->violations.push_back({index, outcome->seed, step, "apply",
                                      applied.ToString()});
@@ -267,6 +268,10 @@ void RunOneCase(const MutationFuzzOptions& options, size_t index,
         }
       }
     }
+
+    // The live core is built through the build pool; the shadow below is
+    // built without one, so the core arm also checks pooled ≡ serial.
+    (void)live.compiled(build_pool);
 
     // Arm 1: content — a from-scratch Create over the mutated database under
     // the live mask must produce the same views as sets.
@@ -356,9 +361,14 @@ std::string MutationFuzzSummary::ToString() const {
 
 MutationFuzzSummary RunMutationFuzz(const MutationFuzzOptions& options,
                                     ThreadPool* pool) {
+  // The live side's deltas and core builds run on a pool of their own: a
+  // seed worker handing `pool` to them would run them inline, and pooled
+  // builds would go unchecked.
+  ThreadPool build_pool(3);
   std::vector<CaseOutcome> outcomes(options.iterations);
-  ParallelFor(pool, options.iterations,
-              [&](size_t i) { RunOneCase(options, i, &outcomes[i]); });
+  ParallelFor(pool, options.iterations, [&](size_t i) {
+    RunOneCase(options, i, &build_pool, &outcomes[i]);
+  });
 
   MutationFuzzSummary summary;
   summary.options = options;

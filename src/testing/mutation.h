@@ -70,6 +70,10 @@ struct MutationFuzzSummary {
 ///    PlanCore — kill rows included — and the ΔV overlay) and the outcomes
 ///    of `options.solvers` must be BYTE-identical to the live instance's.
 ///
+/// The live instance applies its deltas and builds its cores through a
+/// 3-thread pool of the run's own, so the core comparison also checks that a
+/// pooled build equals a pool-less one.
+///
 /// Cases run concurrently on `pool` when it has more than one worker; each
 /// case is fully determined by its derived seed and writes only its own
 /// slot, so the summary is bit-identical at any thread count.

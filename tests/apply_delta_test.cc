@@ -8,6 +8,7 @@
 #include "dp/base_delta.h"
 #include "dp/vse_instance.h"
 #include "plan/compiled_instance.h"
+#include "runtime/thread_pool.h"
 #include "solvers/scratch_pool.h"
 #include "workload/author_journal.h"
 
@@ -336,28 +337,34 @@ TEST_F(ApplyDeltaTest, SetWeightRebuildsCoreAndLeavesReplicaPlansFrozen) {
 
 // The rebuild after a witness-changing delta or a reweight fills the core
 // the instance dropped when the instance is its sole owner: the same
-// address, the same bytes as a from-scratch build of the same views.
+// address, the same bytes as a from-scratch build of the same views. So
+// does a rebuild whose passes, and the delta's compaction, run on a pool.
 TEST_F(ApplyDeltaTest, SoleOwnerRebuildsIntoTheDroppedCore) {
-  const PlanCore* core = instance().compiled()->core().get();
-  ASSERT_EQ(instance().plan_stats().core_reuses, 0u);
+  ThreadPool three(3);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &three}) {
+    SCOPED_TRACE(pool == nullptr ? "no pool" : "3-thread pool");
+    SetUp();
+    const PlanCore* core = instance().compiled(pool)->core().get();
+    ASSERT_EQ(instance().plan_stats().core_reuses, 0u);
 
-  BaseDelta witnessed;
-  witnessed.deletes.push_back(Row("T1", 3));  // (John, TODS)
-  witnessed.inserts.push_back(T1Insert("Bob", "TKDE"));
-  ASSERT_TRUE(instance().ApplyDelta(db(), witnessed).ok());
-  EXPECT_EQ(instance().compiled()->core().get(), core);
-  PlanBuildStats stats = instance().plan_stats();
-  EXPECT_EQ(stats.full_builds, 2u);
-  EXPECT_EQ(stats.core_reuses, 1u);
-  ExpectMatchesReindex();
+    BaseDelta witnessed;
+    witnessed.deletes.push_back(Row("T1", 3));  // (John, TODS)
+    witnessed.inserts.push_back(T1Insert("Bob", "TKDE"));
+    ASSERT_TRUE(instance().ApplyDelta(db(), witnessed, {}, nullptr, pool).ok());
+    EXPECT_EQ(instance().compiled(pool)->core().get(), core);
+    PlanBuildStats stats = instance().plan_stats();
+    EXPECT_EQ(stats.full_builds, 2u);
+    EXPECT_EQ(stats.core_reuses, 1u);
+    ExpectMatchesReindex();
 
-  ASSERT_TRUE(instance().SetWeight(ViewTupleId{0, 2}, 3.0).ok());
-  ASSERT_TRUE(instance().SetWeight(ViewTupleId{1, 1}, 0.5).ok());
-  EXPECT_EQ(instance().compiled()->core().get(), core);
-  stats = instance().plan_stats();
-  EXPECT_EQ(stats.full_builds, 3u);
-  EXPECT_EQ(stats.core_reuses, 2u);
-  ExpectMatchesReindex();
+    ASSERT_TRUE(instance().SetWeight(ViewTupleId{0, 2}, 3.0).ok());
+    ASSERT_TRUE(instance().SetWeight(ViewTupleId{1, 1}, 0.5).ok());
+    EXPECT_EQ(instance().compiled(pool)->core().get(), core);
+    stats = instance().plan_stats();
+    EXPECT_EQ(stats.full_builds, 3u);
+    EXPECT_EQ(stats.core_reuses, 2u);
+    ExpectMatchesReindex();
+  }
 }
 
 // Anything else that still holds the dropped core — a replica, a plan

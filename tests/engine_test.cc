@@ -507,8 +507,9 @@ TEST(BatchEngineTest, ReusedGeneralSolversMatchFreshAcrossDelta) {
 
 // Live-style leaf swaps through the engine. By the time the primary
 // recompiles, the workers and the memo cache hold nothing of the old core,
-// so every rebuild fills the core the delta dropped; the fleet must answer
-// exactly as a fresh engine over a re-index of the same views does.
+// so every rebuild fills the core the delta dropped, on the engine's pool;
+// the core must equal a pool-less build of a re-index of the same views,
+// and the fleet must answer exactly as a fresh engine over that re-index.
 TEST(BatchEngineTest, DeltaRebuildsIntoTheDroppedCoreAndMatchesAFreshEngine) {
   GeneratedVse generated = MakeWorkload();
   VseInstance& primary = *generated.instance;
@@ -542,6 +543,10 @@ TEST(BatchEngineTest, DeltaRebuildsIntoTheDroppedCoreAndMatchesAFreshEngine) {
     Result<VseInstance> reindexed =
         VseInstance::CreateFromMaterializedViews(db, queries, std::move(views));
     ASSERT_TRUE(reindexed.ok()) << reindexed.status().ToString();
+    // The engine rebuilt the primary's core on its 4 workers; a pool-less
+    // build must give the same core. (Checked before `fresh` exists: its
+    // constructor compiles through its own pool.)
+    EXPECT_TRUE(*primary.compiled()->core() == *reindexed->compiled()->core());
     BatchSolveEngine fresh(*reindexed, options);
     for (const char* solver : {"greedy", "ilp", "local-search"}) {
       std::vector<SolveRequest> requests = MakeRequests(primary, 8, solver);

@@ -12,6 +12,7 @@
 #include "dp/vse_instance.h"
 #include "plan/compiled_instance.h"
 #include "query/parser.h"
+#include "runtime/thread_pool.h"
 #include "testing/fuzzer.h"
 #include "testing/reference_eval.h"
 #include "workload/author_journal.h"
@@ -386,72 +387,84 @@ min_witness_raw_members 2
 // reproduce them byte for byte, including after a delta, when it rebuilds
 // into the dropped core. The kill rows' per-tuple dedup shows only where
 // one base lies in two witnesses of one view tuple (the projection and the
-// self-join).
+// self-join). Every core is also built through pools of 2, 3 and 4 threads,
+// whose range splits must not show: three threads split the forest's views
+// unevenly, and four give the small instances empty ranges.
 TEST(PlanTest, CoreMatchesRecordedGoldens) {
-  ParsedInstance projection;
-  {
-    Database& db = projection.db;
-    RelationId r = *db.AddRelation("R", 2, {0});
-    RelationId s = *db.AddRelation("S", 2, {1});
-    for (auto [x, y] : {std::pair{"a1", "b1"}, {"a2", "b1"}, {"a3", "b2"}}) {
-      ASSERT_TRUE(db.InsertText(r, {x, y}).ok());
+  for (size_t threads : {0, 2, 3, 4}) {
+    SCOPED_TRACE(threads);
+    std::unique_ptr<ThreadPool> owned =
+        threads == 0 ? nullptr : std::make_unique<ThreadPool>(threads);
+    ThreadPool* pool = owned.get();
+
+    ParsedInstance projection;
+    {
+      Database& db = projection.db;
+      RelationId r = *db.AddRelation("R", 2, {0});
+      RelationId s = *db.AddRelation("S", 2, {1});
+      for (auto [x, y] :
+           {std::pair{"a1", "b1"}, {"a2", "b1"}, {"a3", "b2"}}) {
+        ASSERT_TRUE(db.InsertText(r, {x, y}).ok());
+      }
+      for (auto [y, z] :
+           {std::pair{"b1", "c1"}, {"b1", "c2"}, {"b2", "c3"}}) {
+        ASSERT_TRUE(db.InsertText(s, {y, z}).ok());
+      }
     }
-    for (auto [y, z] : {std::pair{"b1", "c1"}, {"b1", "c2"}, {"b2", "c3"}}) {
-      ASSERT_TRUE(db.InsertText(s, {y, z}).ok());
+    ASSERT_TRUE(Evaluate(&projection, {"Q(x) :- R(x, y), S(y, z)",
+                                       "P(x, z) :- R(x, y), S(y, z)"}));
+    ASSERT_FALSE(projection.instance->all_unique_witness());
+    EXPECT_EQ(CoreDigest(*projection.instance->compiled(pool)->core()),
+              kProjectionCore);
+    ExpectKilledByListsEachTupleOnce(*projection.instance);
+
+    ParsedInstance self_join;
+    {
+      Database& db = self_join.db;
+      RelationId e = *db.AddRelation("E", 2, {0, 1});
+      for (auto [x, y] : {std::pair{"b", "c"}, {"a", "b"}, {"a", "a"}}) {
+        ASSERT_TRUE(db.InsertText(e, {x, y}).ok());
+      }
     }
+    ASSERT_TRUE(Evaluate(&self_join, {"Q(x, z) :- E(x, y), E(y, z)",
+                                      "S(x) :- E(x, y), E(y, z)"}));
+    EXPECT_EQ(CoreDigest(*self_join.instance->compiled(pool)->core()),
+              kSelfJoinCore);
+    ExpectKilledByListsEachTupleOnce(*self_join.instance);
+
+    Result<GeneratedVse> fig1 = BuildFig1Example();
+    ASSERT_TRUE(fig1.ok()) << fig1.status().ToString();
+    VseInstance& weighted = *fig1->instance;
+    ASSERT_TRUE(weighted.SetWeight(ViewTupleId{0, 1}, 2.5).ok());
+    ASSERT_TRUE(weighted.SetWeight(ViewTupleId{0, 2}, -0.0).ok());
+    ASSERT_TRUE(weighted.SetWeight(ViewTupleId{1, 0}, 0.0).ok());
+    ASSERT_TRUE(weighted.SetWeight(ViewTupleId{1, 3}, 0.125).ok());
+    std::shared_ptr<const PlanCore> weighted_core =
+        weighted.compiled(pool)->core();
+    EXPECT_TRUE(std::signbit(weighted_core->weight[2]));
+    EXPECT_EQ(CoreDigest(*weighted_core), kWeightedFig1Core);
+    ExpectKilledByListsEachTupleOnce(weighted);
+
+    Rng rng(7);
+    PathSchemaParams params;
+    params.levels = 6;
+    params.roots = 3;
+    params.fanout = 3;
+    Result<GeneratedVse> forest = GeneratePathSchema(rng, params);
+    ASSERT_TRUE(forest.ok()) << forest.status().ToString();
+    Database& db = *forest->database;
+    RelationId leaf = *db.schema().FindRelation("L5");
+    const Tuple& swapped = db.relation(leaf).row(7);
+    BaseDelta swap;
+    swap.deletes.push_back(TupleRef{leaf, 7});
+    swap.inserts.push_back(BaseInsert{
+        leaf, {db.dict().Intern("swapped"), swapped[1], swapped[2]}});
+    ASSERT_TRUE(forest->instance->ApplyDelta(db, swap, {}, nullptr, pool).ok());
+    EXPECT_EQ(CoreDigest(*forest->instance->compiled(pool)->core()),
+              kSwappedForestCore);
+    EXPECT_EQ(forest->instance->plan_stats().core_reuses, 1u);
+    ExpectKilledByListsEachTupleOnce(*forest->instance);
   }
-  ASSERT_TRUE(Evaluate(&projection, {"Q(x) :- R(x, y), S(y, z)",
-                                     "P(x, z) :- R(x, y), S(y, z)"}));
-  ASSERT_FALSE(projection.instance->all_unique_witness());
-  EXPECT_EQ(CoreDigest(*projection.instance->compiled()->core()),
-            kProjectionCore);
-  ExpectKilledByListsEachTupleOnce(*projection.instance);
-
-  ParsedInstance self_join;
-  {
-    Database& db = self_join.db;
-    RelationId e = *db.AddRelation("E", 2, {0, 1});
-    for (auto [x, y] : {std::pair{"b", "c"}, {"a", "b"}, {"a", "a"}}) {
-      ASSERT_TRUE(db.InsertText(e, {x, y}).ok());
-    }
-  }
-  ASSERT_TRUE(Evaluate(&self_join, {"Q(x, z) :- E(x, y), E(y, z)",
-                                    "S(x) :- E(x, y), E(y, z)"}));
-  EXPECT_EQ(CoreDigest(*self_join.instance->compiled()->core()),
-            kSelfJoinCore);
-  ExpectKilledByListsEachTupleOnce(*self_join.instance);
-
-  Result<GeneratedVse> fig1 = BuildFig1Example();
-  ASSERT_TRUE(fig1.ok()) << fig1.status().ToString();
-  VseInstance& weighted = *fig1->instance;
-  ASSERT_TRUE(weighted.SetWeight(ViewTupleId{0, 1}, 2.5).ok());
-  ASSERT_TRUE(weighted.SetWeight(ViewTupleId{0, 2}, -0.0).ok());
-  ASSERT_TRUE(weighted.SetWeight(ViewTupleId{1, 0}, 0.0).ok());
-  ASSERT_TRUE(weighted.SetWeight(ViewTupleId{1, 3}, 0.125).ok());
-  std::shared_ptr<const PlanCore> weighted_core = weighted.compiled()->core();
-  EXPECT_TRUE(std::signbit(weighted_core->weight[2]));
-  EXPECT_EQ(CoreDigest(*weighted_core), kWeightedFig1Core);
-  ExpectKilledByListsEachTupleOnce(weighted);
-
-  Rng rng(7);
-  PathSchemaParams params;
-  params.levels = 6;
-  params.roots = 3;
-  params.fanout = 3;
-  Result<GeneratedVse> forest = GeneratePathSchema(rng, params);
-  ASSERT_TRUE(forest.ok()) << forest.status().ToString();
-  Database& db = *forest->database;
-  RelationId leaf = *db.schema().FindRelation("L5");
-  const Tuple& swapped = db.relation(leaf).row(7);
-  BaseDelta swap;
-  swap.deletes.push_back(TupleRef{leaf, 7});
-  swap.inserts.push_back(
-      BaseInsert{leaf, {db.dict().Intern("swapped"), swapped[1], swapped[2]}});
-  ASSERT_TRUE(forest->instance->ApplyDelta(db, swap).ok());
-  EXPECT_EQ(CoreDigest(*forest->instance->compiled()->core()),
-            kSwappedForestCore);
-  EXPECT_EQ(forest->instance->plan_stats().core_reuses, 1u);
-  ExpectKilledByListsEachTupleOnce(*forest->instance);
 }
 
 // Base interning reads ids from a per-database-row table. This database has

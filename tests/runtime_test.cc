@@ -6,6 +6,11 @@
 // atomic, and every cross-thread handoff goes through ParallelFor's join.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -94,6 +99,39 @@ TEST(ParallelForTest, SlotWritesMatchSerialExecution) {
   };
   ThreadPool pool(4);
   EXPECT_EQ(run(nullptr), run(&pool));
+}
+
+// A body that calls ParallelFor on the pool running it. Blocking the worker
+// on the inner runners deadlocks once every worker does so (2 outer bodies
+// on 2 workers), which happened in about a third of the runs before nested
+// calls ran inline; 100 repetitions make a regression hang. The loops run
+// on a helper pool's worker so that a hang fails at the deadline instead of
+// stalling the suite.
+TEST(ParallelForTest, NestedCallOnTheSamePoolCompletes) {
+  constexpr size_t kOuter = 2;
+  constexpr size_t kInner = 4;
+  auto finished = std::make_shared<std::promise<std::vector<int>>>();
+  std::future<std::vector<int>> visits_future = finished->get_future();
+  ThreadPool helper(1);
+  helper.Submit([finished] {
+    std::vector<int> visits(kOuter * kInner, 0);
+    for (int rep = 0; rep < 100; ++rep) {
+      ThreadPool pool(2);
+      ParallelFor(&pool, kOuter, [&](size_t outer) {
+        ParallelFor(&pool, kInner, [&](size_t inner) {
+          visits[outer * kInner + inner] += 1;
+        });
+      });
+    }
+    finished->set_value(std::move(visits));
+  });
+  if (visits_future.wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    // Neither the stuck pool nor the helper can be joined: end the process.
+    std::fprintf(stderr, "nested ParallelFor on one pool deadlocked\n");
+    std::_Exit(1);
+  }
+  for (int v : visits_future.get()) EXPECT_EQ(v, 100);
 }
 
 TEST(RngTest, DeriveTaskSeedIsStableAndCollisionFree) {
