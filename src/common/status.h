@@ -29,8 +29,8 @@ const char* StatusCodeName(StatusCode code);
 /// exceptions. A `Status` is either OK or an error code plus message.
 ///
 /// `[[nodiscard]]` so the compiler flags call sites that silently drop an
-/// error; the delprop-lint `discarded-status` rule enforces the same contract
-/// across translation units (see docs/lint.md).
+/// error, and the build's `-Werror=unused-result` makes every such call
+/// site a compile error; `(void)call();` discards explicitly.
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.

@@ -17,13 +17,14 @@ constexpr uint8_t kUnchanged = 0;  // preserved survivor or eliminated ΔV
 constexpr uint8_t kSurvivingDeletion = 1;
 constexpr uint8_t kKilledPreserved = 2;
 
-// Under kAuto, requests whose candidate rows hold at least 1/kSweepRatio of
-// the view tuples mark them in per-tuple and per-base arrays and sweep the
-// tuple marks in ascending order: one sequential pass, about the cost of
-// EvaluateDeletion's scan, and still proportional to the request. Smaller
-// requests sort their candidates and binary-search the deleted bases, which
-// touches nothing else but costs far more per candidate than the sweep per
-// tuple (on a shared 4-core Xeon at 364,500 tuples, ~300 ns against ~6 ns).
+// Under kAuto, requests whose candidate rows (ΔV and the deleted bases'
+// occurrence rows) hold at least 1/kSweepRatio of the view tuples mark them
+// in per-tuple and per-base arrays and sweep the tuple marks in ascending
+// order: one sequential pass, about the cost of EvaluateDeletion's scan,
+// and still proportional to the request. Smaller requests sort their
+// candidates and binary-search the deleted bases, which touches nothing
+// else but costs far more per candidate than the sweep per tuple (on a
+// shared 4-core Xeon at 364,500 tuples, ~300 ns against ~6 ns).
 constexpr size_t kSweepRatio = 32;
 
 }  // namespace
@@ -57,7 +58,7 @@ SideEffectReport RequestReport(const VseInstance& instance,
     uint32_t base = plan->FindBase(ref);
     if (base == CompiledInstance::kNpos) continue;
     deleted.push_back(base);
-    candidate_rows += plan->kill_end(base) - plan->kill_begin(base);
+    candidate_rows += plan->occ_end(base) - plan->occ_begin(base);
   }
   std::sort(deleted.begin(), deleted.end());
 
@@ -74,10 +75,8 @@ SideEffectReport RequestReport(const VseInstance& instance,
     candidates.reserve(candidate_rows);
     candidates.assign(delta_v.begin(), delta_v.end());
     for (uint32_t base : deleted) {
-      for (uint32_t slot = plan->kill_begin(base); slot < plan->kill_end(base);
-           ++slot) {
-        candidates.push_back(plan->kill_tuple(slot));
-      }
+      plan->ForEachKilled(
+          base, [&](uint32_t dense) { candidates.push_back(dense); });
     }
     std::sort(candidates.begin(), candidates.end());
     candidates.erase(std::unique(candidates.begin(), candidates.end()),
@@ -90,12 +89,7 @@ SideEffectReport RequestReport(const VseInstance& instance,
       tuple_marks[dense] = 1;
     };
     for (uint32_t dense : delta_v) mark(dense);
-    for (uint32_t base : deleted) {
-      for (uint32_t slot = plan->kill_begin(base); slot < plan->kill_end(base);
-           ++slot) {
-        mark(plan->kill_tuple(slot));
-      }
-    }
+    for (uint32_t base : deleted) plan->ForEachKilled(base, mark);
     candidates.reserve(marked);
     for (uint32_t dense = 0; dense < plan->tuple_count(); ++dense) {
       if (tuple_marks[dense] != 0) candidates.push_back(dense);

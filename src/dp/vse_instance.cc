@@ -49,19 +49,20 @@ class TupleRemap {
   std::vector<std::vector<size_t>> dead_;
 };
 
+/// The view tuple of dense id `dense` in `core`.
+ViewTupleId TupleOf(const PlanCore& core, uint32_t dense) {
+  uint32_t view = core.tuple_view[dense];
+  return ViewTupleId{view, dense - core.view_first[view]};
+}
+
 /// Appends the kill row of `ref` in `core` — the view tuples having `ref` in
 /// some witness, ascending — to `out`; nothing if no witness uses `ref`.
 void AppendKillRow(const PlanCore& core, const TupleRef& ref,
                    std::vector<ViewTupleId>* out) {
-  auto it = std::lower_bound(core.base_refs.begin(), core.base_refs.end(), ref);
-  if (it == core.base_refs.end() || !(*it == ref)) return;
-  size_t base = static_cast<size_t>(it - core.base_refs.begin());
-  for (uint32_t slot = core.base_kill_first[base];
-       slot < core.base_kill_first[base + 1]; ++slot) {
-    uint32_t dense = core.kill_tuple[slot];
-    uint32_t view = core.tuple_view[dense];
-    out->push_back(ViewTupleId{view, dense - core.view_first[view]});
-  }
+  uint32_t base = core.FindBase(ref);
+  if (base == CompiledInstance::kNpos) return;
+  core.ForEachKilled(
+      base, [&](uint32_t dense) { out->push_back(TupleOf(core, dense)); });
 }
 
 bool WitnessHits(const Witness& witness, const DeletionSet& deleted) {
@@ -323,17 +324,18 @@ Status VseInstance::ValidateDelta(const Database& database,
                                      " of relation '" + name +
                                      "' is already deleted");
     }
-    if (options.forbid_witnessed_deletes) {
-      std::vector<ViewTupleId> killed;
-      AppendKillRow(core, ref, &killed);
-      if (!killed.empty()) {
-        const ViewTupleId& vt = killed.front();
-        return Status::InvalidArgument(
-            who + ": row " + std::to_string(ref.row) + " of relation '" +
-            name + "' still occurs in a witness of view " +
-            std::to_string(vt.view) + " tuple " + std::to_string(vt.tuple) +
-            " (" + RenderViewTuple(vt) + ")");
-      }
+    uint32_t base = options.forbid_witnessed_deletes
+                        ? core.FindBase(ref)
+                        : CompiledInstance::kNpos;
+    if (base != CompiledInstance::kNpos) {
+      // An interned base lies in some witness, so its occurrence row is not
+      // empty, and its first entry is the first view tuple it kills.
+      ViewTupleId vt = TupleOf(core, core.occ_tuple[core.base_occ_first[base]]);
+      return Status::InvalidArgument(
+          who + ": row " + std::to_string(ref.row) + " of relation '" + name +
+          "' still occurs in a witness of view " + std::to_string(vt.view) +
+          " tuple " + std::to_string(vt.tuple) + " (" + RenderViewTuple(vt) +
+          ")");
     }
   }
   return Status::Ok();

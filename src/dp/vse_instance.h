@@ -187,9 +187,11 @@ class VseInstance {
   /// database. Errors are InvalidArgument naming the offending relation/row.
   ///
   /// The view tuples a delete touches are read from the pre-delta plan
-  /// core's kill rows; an instance without a cached core (never compiled,
-  /// or dropped by an earlier delta or SetWeight) first pays the lazy full
-  /// build of compiled(), counted in plan_stats().full_builds.
+  /// core's kill rows (PlanCore::ForEachKilled: the distinct tuples of each
+  /// deleted row's occurrence row); an instance without a cached core
+  /// (never compiled, or dropped by an earlier delta or SetWeight) first
+  /// pays the lazy full build of compiled(), counted in
+  /// plan_stats().full_builds.
   ///
   /// Plan maintenance: a delta that adds or removes any witness drops the
   /// compiled plan, the retired plan and the core (counted in
@@ -313,7 +315,9 @@ class VseInstance {
 
   /// View tuples having `ref` in at least one witness (the "kill set" of the
   /// base tuple), ascending: the ref's kill row in the compiled plan core,
-  /// which is built on first use. Empty if the tuple occurs in no witness.
+  /// read through PlanCore::ForEachKilled (the distinct tuples of the ref's
+  /// occurrence row); the core is built on first use. Empty if the tuple
+  /// occurs in no witness.
   std::vector<ViewTupleId> KilledBy(const TupleRef& ref) const;
 
   const ViewTuple& view_tuple(const ViewTupleId& id) const {
@@ -342,8 +346,9 @@ class VseInstance {
   Status ValidateWitnesses();
 
   /// The cached plan core, or — when none is cached — the core of a lazy
-  /// full build through compiled(pool). Its kill rows are the instance's
-  /// only base → view-tuple index.
+  /// full build through compiled(pool). Its occurrence rows, read as kill
+  /// rows through PlanCore::ForEachKilled, are the instance's only base →
+  /// view-tuple index.
   std::shared_ptr<const PlanCore> CurrentCore(ThreadPool* pool = nullptr) const;
 
   /// Copy-on-write access to the view structure: detaches a private copy

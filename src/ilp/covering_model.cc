@@ -87,10 +87,8 @@ void CoveringModel::Decompose(const CompiledInstance& plan) {
   // Such a tuple lies in some candidate's kill row, so the kill rows are the
   // only tuples to visit; the stamp visits each once.
   for (uint32_t candidate : candidates) {
-    const uint32_t kend = plan.kill_end(candidate);
-    for (uint32_t kslot = plan.kill_begin(candidate); kslot < kend; ++kslot) {
-      const uint32_t t = plan.kill_tuple(kslot);
-      if (plan.is_deletion(t) || visit_stamp_[t] == visit_epoch_) continue;
+    plan.ForEachKilled(candidate, [&](uint32_t t) {
+      if (plan.is_deletion(t) || visit_stamp_[t] == visit_epoch_) return;
       visit_stamp_[t] = visit_epoch_;
       ++tuples_visited_;
       uint32_t wend = plan.tuple_witness_end(t);
@@ -104,7 +102,7 @@ void CoveringModel::Decompose(const CompiledInstance& plan) {
         }
         killable = has_candidate;
       }
-      if (!killable) continue;
+      if (!killable) return;
       uint32_t anchor = kNpos;
       for (uint32_t w = plan.tuple_witness_begin(t); w < wend; ++w) {
         for (uint32_t slot = plan.member_begin(w); slot < plan.member_end(w);
@@ -118,7 +116,7 @@ void CoveringModel::Decompose(const CompiledInstance& plan) {
           }
         }
       }
-    }
+    });
   }
 
   // Number the components by first appearance over ascending candidate id;

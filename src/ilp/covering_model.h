@@ -36,11 +36,12 @@ namespace delprop {
 ///
 /// A killable preserved tuple has a candidate in every witness, so it lies
 /// in that candidate's kill row: Decompose() walks the candidates' kill rows
-/// instead of every view tuple, and costs O(ΔV witness members + Σ candidate
-/// kill rows), not O(‖V‖). All storage is reusable: the per-base and
-/// per-tuple arrays are refilled only when the plan's dimensions change,
-/// and a call otherwise resets exactly the entries it set, so a pooled
-/// solver reaches zero steady-state allocations.
+/// (CompiledInstance::ForEachKilled) instead of every view tuple, and costs
+/// O(ΔV witness members + Σ candidate occurrence rows), not O(‖V‖). All
+/// storage is reusable: the per-base and per-tuple arrays are refilled only
+/// when the plan's dimensions change, and a call otherwise resets exactly
+/// the entries it set, so a pooled solver reaches zero steady-state
+/// allocations.
 class CoveringModel {
  public:
   /// Decomposes `plan`'s candidate bases into independent components.

@@ -28,9 +28,6 @@ void Linter::AddDefaultRules(const std::vector<std::string>& only) {
     return only.empty() ||
            std::find(only.begin(), only.end(), name) != only.end();
   };
-  if (wanted("discarded-status")) {
-    AddRule(std::make_unique<DiscardedStatusRule>());
-  }
   if (wanted("nondeterministic-iteration")) {
     AddRule(std::make_unique<NondeterministicIterationRule>());
   }

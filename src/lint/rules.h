@@ -11,42 +11,6 @@
 namespace delprop {
 namespace lint {
 
-/// discarded-status: a call to a function declared (anywhere in the linted
-/// tree) to return `Status` or `Result<T>` whose value is dropped — the call
-/// is a bare expression statement. `(void)call();` is an explicit discard
-/// and is allowed, mirroring `[[nodiscard]]` semantics.
-///
-/// Matching is by name (the linter has no type information), so a name that
-/// is also declared somewhere with a non-Status return type — e.g. `Insert`,
-/// which is `Result<TupleRef> Database::Insert` but `bool
-/// DeletionSet::Insert` — is treated as ambiguous and skipped; those call
-/// sites are covered by `[[nodiscard]]` on Status/Result at compile time
-/// instead (src/common/status.h).
-class DiscardedStatusRule : public Rule {
- public:
-  std::string_view name() const override { return "discarded-status"; }
-  std::string_view description() const override {
-    return "call returning Status/Result used as a bare statement";
-  }
-  void Collect(const SourceFile& file) override;
-  void Check(const SourceFile& file,
-             std::vector<Diagnostic>* out) const override;
-
-  /// Names of functions observed to return Status/Result (exposed for
-  /// tests).
-  const std::unordered_set<std::string>& status_functions() const {
-    return status_functions_;
-  }
-  /// Names also declared with a different return type (skipped by Check).
-  const std::unordered_set<std::string>& ambiguous_functions() const {
-    return other_return_functions_;
-  }
-
- private:
-  std::unordered_set<std::string> status_functions_;
-  std::unordered_set<std::string> other_return_functions_;
-};
-
 /// nondeterministic-iteration: a range-for over an `std::unordered_map` /
 /// `std::unordered_set` (or an alias of one) in result-emission or
 /// accumulation paths — hash iteration order is unspecified, which breaks

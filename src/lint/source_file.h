@@ -20,7 +20,7 @@ namespace lint {
 /// suppresses diagnostics of that rule on the comment's own line and on the
 /// following line, so both styles work:
 ///
-///   DoThing();  // delprop-lint: discarded-status-ok (best-effort cleanup)
+///   std::thread t(Run);  // delprop-lint: raw-threading-ok (pool worker)
 ///
 ///   // delprop-lint: nondeterministic-iteration-ok (order folded into a sum)
 ///   for (const auto& [k, v] : counts) total += v;

@@ -12,11 +12,10 @@
 
 namespace delprop {
 
-uint32_t CompiledInstance::FindBase(const TupleRef& ref) const {
-  const std::vector<TupleRef>& refs = core_->base_refs;
-  auto it = std::lower_bound(refs.begin(), refs.end(), ref);
-  if (it == refs.end() || !(*it == ref)) return kNpos;
-  return static_cast<uint32_t>(it - refs.begin());
+uint32_t PlanCore::FindBase(const TupleRef& ref) const {
+  auto it = std::lower_bound(base_refs.begin(), base_refs.end(), ref);
+  if (it == base_refs.end() || !(*it == ref)) return CompiledInstance::kNpos;
+  return static_cast<uint32_t>(it - base_refs.begin());
 }
 
 namespace {
@@ -93,23 +92,21 @@ void ForEachDistinctMember(const PlanCore& core, uint32_t wid, Fn&& fn) {
   }
 }
 
-/// Tail of BuildCore: derives the occurrence and kill CSR arrays from the
-/// witness member rows, reading each row twice (count, then fill). Every
-/// per-base occurrence row comes out sorted by (tuple, witness) — the
-/// invariant MarginalDamage relies on to walk runs — and the kill rows are
-/// its per-base run-dedup.
+/// Tail of BuildCore: derives the occurrence CSR arrays from the witness
+/// member rows, reading each row twice (count, then fill). Every per-base
+/// occurrence row comes out sorted by (tuple, witness): MarginalDamage walks
+/// its runs, and they are the base's kill row (PlanCore::ForEachKilled).
 ///
-/// Each pass runs over PartCount(pool) contiguous ranges, on the pool's
-/// workers when there is one; the arrays are the same for every pool. The
-/// occurrence passes split the witnesses: range k counts into its own
-/// per-base histogram, and one serial prefix turns the histograms into
-/// per-range fill cursors, placing range k's entries after those of the
-/// ranges before it in every base row, so each row stays in ascending
-/// witness order. The last range counts into `base_occ_first` itself
-/// (slot b + 1): after the shifted prefix, slot b + 1 is that range's
-/// cursor for b, and once the fill is done it holds b's end, which is
-/// b + 1's start. So a pool-less build, a single range, allocates nothing
-/// beyond the core's own arrays. The kill passes split the bases.
+/// Each pass runs over PartCount(pool) contiguous ranges of the witnesses,
+/// on the pool's workers when there is one; the arrays are the same for
+/// every pool. Range k counts into its own per-base histogram, and one
+/// serial prefix turns the histograms into per-range fill cursors, placing
+/// range k's entries after those of the ranges before it in every base row,
+/// so each row stays in ascending witness order. The last range counts into
+/// `base_occ_first` itself (slot b + 1): after the shifted prefix, slot
+/// b + 1 is that range's cursor for b, and once the fill is done it holds
+/// b's end, which is b + 1's start. So a pool-less build, a single range,
+/// allocates nothing beyond the core's own arrays.
 void FinishCore(PlanCore* core, ThreadPool* pool) {
   uint32_t base_count = core->base_count();
   size_t parts = PartCount(pool);
@@ -166,54 +163,6 @@ void FinishCore(PlanCore* core, ThreadPool* pool) {
       });
     }
   });
-
-  // Kill rows: unique view tuples per base, in row order (ascending (view,
-  // tuple)) — the per-base run-dedup of the occurrence rows. The bases are
-  // split into ranges balanced by occurrences. Each range first writes the
-  // prefix sums of its own kill counts; a serial pass over the ranges gives
-  // each its offset, which its fill adds as it goes.
-  std::vector<uint32_t>& kill_first = core->base_kill_first;
-  SizeTo(&kill_first, static_cast<size_t>(base_count) + 1);
-  kill_first[0] = 0;
-  RunTasks(pool, parts, [&](size_t part) {
-    uint32_t kills = 0;
-    for (size_t b = BalancedRangeBegin(occ_first, parts, part),
-                end = BalancedRangeBegin(occ_first, parts, part + 1);
-         b < end; ++b) {
-      uint32_t prev = CompiledInstance::kNpos;
-      for (uint32_t slot = occ_first[b]; slot < occ_first[b + 1]; ++slot) {
-        if (core->occ_tuple[slot] != prev) {
-          prev = core->occ_tuple[slot];
-          ++kills;
-        }
-      }
-      kill_first[b + 1] = kills;
-    }
-  });
-  std::vector<uint32_t> kill_offset(parts + 1, 0);
-  for (size_t part = 0; part < parts; ++part) {
-    size_t end = BalancedRangeBegin(occ_first, parts, part + 1);
-    uint32_t range_kills =
-        end == BalancedRangeBegin(occ_first, parts, part) ? 0 : kill_first[end];
-    kill_offset[part + 1] = kill_offset[part] + range_kills;
-  }
-  SizeTo(&core->kill_tuple, kill_offset[parts]);
-  RunTasks(pool, parts, [&](size_t part) {
-    uint32_t out = kill_offset[part];
-    for (size_t b = BalancedRangeBegin(occ_first, parts, part),
-                end = BalancedRangeBegin(occ_first, parts, part + 1);
-         b < end; ++b) {
-      kill_first[b + 1] += kill_offset[part];
-      uint32_t prev = CompiledInstance::kNpos;
-      for (uint32_t slot = occ_first[b]; slot < occ_first[b + 1]; ++slot) {
-        uint32_t t = core->occ_tuple[slot];
-        if (t != prev) {
-          prev = t;
-          core->kill_tuple[out++] = t;
-        }
-      }
-    }
-  });
 }
 
 /// Builds the core of `instance` under `weights` (with its tail FinishCore,
@@ -222,7 +171,7 @@ void FinishCore(PlanCore* core, ThreadPool* pool) {
 /// is built in its arrays; nothing else can read it meanwhile. Otherwise a
 /// new core is allocated. Both run the same code and rewrite every field.
 ///
-/// Every pass over view tuples, witnesses, members or bases runs as
+/// Every pass over view tuples, witnesses or members runs as
 /// PartCount(pool) contiguous ranges, on `pool`'s workers when there is
 /// one, and every array comes out the same for every pool. Each range is
 /// sized first and written at offsets an exclusive prefix over the ranges

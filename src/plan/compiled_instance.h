@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "dp/vse_instance.h"
@@ -41,9 +42,6 @@ struct PlanCore {
   std::vector<uint32_t> occ_tuple;
   std::vector<uint32_t> occ_witness;
 
-  std::vector<uint32_t> base_kill_first;  // size base_count + 1
-  std::vector<uint32_t> kill_tuple;
-
   // Narrowest raw member row: the exact search's branch short-circuit.
   uint32_t min_witness_raw_members = 0;
 
@@ -53,6 +51,27 @@ struct PlanCore {
   }
   uint32_t base_count() const {
     return static_cast<uint32_t>(base_refs.size());
+  }
+
+  /// Dense id of `ref`, or CompiledInstance::kNpos when it occurs in no
+  /// witness: a binary search over `base_refs`.
+  uint32_t FindBase(const TupleRef& ref) const;
+
+  /// Calls fn(dense) once for each view tuple having `base` in some witness,
+  /// ascending (view, tuple): the base's kill row, the instance's only base
+  /// → view-tuple index. It is read as the runs of equal tuples in the
+  /// base's occurrence row, which lists a tuple once per witness holding the
+  /// base, so a range of occurrence slots is a kill row only when every
+  /// tuple has one witness.
+  template <typename Fn>
+  void ForEachKilled(uint32_t base, Fn&& fn) const {
+    uint32_t first = base_occ_first[base];
+    uint32_t end = base_occ_first[base + 1];
+    for (uint32_t slot = first; slot < end; ++slot) {
+      if (slot == first || occ_tuple[slot] != occ_tuple[slot - 1]) {
+        fn(occ_tuple[slot]);
+      }
+    }
   }
 
   /// Field-for-field equality over every array and statistic: the
@@ -92,7 +111,9 @@ struct PlanCore {
 /// duplicate refs from self-joins: the greedy/exact/local-search tie-break
 /// and rng-consumption behavior (and the exact solver's node counts) depend
 /// on seeing exactly the legacy sequence. The per-base occurrence rows are
-/// deduplicated per witness, matching the legacy DamageTracker.
+/// deduplicated per witness, matching the legacy DamageTracker; a base's
+/// kill row is the distinct tuples of its occurrence row, read through
+/// `ForEachKilled`.
 class CompiledInstance {
  public:
   /// Sentinel for "no dense id" (absent base tuple, non-ΔV tuple).
@@ -141,10 +162,7 @@ class CompiledInstance {
   /// deletion / preserved element lists.
   uint32_t KillRowDeletionCount(uint32_t base) const {
     uint32_t count = 0;
-    uint32_t end = kill_end(base);
-    for (uint32_t slot = kill_begin(base); slot < end; ++slot) {
-      count += is_deletion_[kill_tuple(slot)];
-    }
+    ForEachKilled(base, [&](uint32_t dense) { count += is_deletion_[dense]; });
     return count;
   }
 
@@ -179,7 +197,7 @@ class CompiledInstance {
     return core_->base_refs[base];
   }
   /// Dense id of `ref`, or kNpos when it occurs in no witness.
-  uint32_t FindBase(const TupleRef& ref) const;
+  uint32_t FindBase(const TupleRef& ref) const { return core_->FindBase(ref); }
 
   // --- occurrences (CSR: base -> (view tuple, witness) pairs) ------------
   /// Rows are sorted by (tuple, witness) and deduplicated per witness.
@@ -194,17 +212,13 @@ class CompiledInstance {
     return core_->occ_witness[slot];
   }
 
-  // --- kills (CSR: base -> killed view tuples, ascending) ----------------
-  /// Unique view tuples having the base in some witness, ascending (view,
-  /// tuple) — the instance's only base → view-tuple index, which
-  /// `VseInstance::KilledBy` and `ApplyDelta` read.
-  uint32_t kill_begin(uint32_t base) const {
-    return core_->base_kill_first[base];
+  // --- kills (base -> killed view tuples, ascending) ---------------------
+  /// Calls fn(dense) once for each distinct tuple of `base`'s occurrence
+  /// row, ascending: see PlanCore::ForEachKilled.
+  template <typename Fn>
+  void ForEachKilled(uint32_t base, Fn&& fn) const {
+    core_->ForEachKilled(base, std::forward<Fn>(fn));
   }
-  uint32_t kill_end(uint32_t base) const {
-    return core_->base_kill_first[base + 1];
-  }
-  uint32_t kill_tuple(uint32_t slot) const { return core_->kill_tuple[slot]; }
 
   /// Narrowest raw member row over all witnesses — a static lower bound on
   /// any branch witness's member count (exact solver short-circuit).

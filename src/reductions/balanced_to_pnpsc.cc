@@ -50,22 +50,21 @@ Result<BalancedToPnpscMapping> ReduceBalancedToPnpsc(
   mapping.pnpsc.sets.reserve(plan->candidate_bases().size());
   for (uint32_t base : plan->candidate_bases()) {
     PnpscInstance::Set set;
-    uint32_t begin = plan->kill_begin(base);
-    uint32_t end = plan->kill_end(base);
     // Count first: the positive/negative lists partition the kill row and
     // are retained in the mapping for the whole solve. The count reads the
-    // overlay's per-tuple ΔV marks.
+    // overlay's per-tuple ΔV marks; the occurrence row bounds the negatives
+    // (exactly, when every tuple has one witness).
     uint32_t positive_count = plan->KillRowDeletionCount(base);
     set.positives.reserve(positive_count);
-    set.negatives.reserve((end - begin) - positive_count);
-    for (uint32_t slot = begin; slot < end; ++slot) {
-      uint32_t dense = plan->kill_tuple(slot);
+    set.negatives.reserve(plan->occ_end(base) - plan->occ_begin(base) -
+                          positive_count);
+    plan->ForEachKilled(base, [&](uint32_t dense) {
       if (plan->is_deletion(dense)) {
         set.positives.push_back(plan->deletion_index(dense));
       } else {
         set.negatives.push_back(negative_of(dense));
       }
-    }
+    });
     mapping.pnpsc.sets.push_back(std::move(set));
   }
   // Hand the scratch back all-kNpos: clear exactly the ids set above.

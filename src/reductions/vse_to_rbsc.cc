@@ -46,22 +46,20 @@ Result<VseToRbscMapping> ReduceVseToRbsc(const VseInstance& instance,
   mapping.rbsc.sets.reserve(plan->candidate_bases().size());
   for (uint32_t base : plan->candidate_bases()) {
     RbscInstance::Set set;
-    uint32_t begin = plan->kill_begin(base);
-    uint32_t end = plan->kill_end(base);
     // Count first: the set's blue/red lists partition its kill row, and
     // both are retained in the mapping for the whole solve. The count reads
-    // the overlay's per-tuple ΔV marks.
+    // the overlay's per-tuple ΔV marks; the occurrence row bounds the reds
+    // (exactly, when every tuple has one witness).
     uint32_t blue_count = plan->KillRowDeletionCount(base);
     set.blues.reserve(blue_count);
-    set.reds.reserve((end - begin) - blue_count);
-    for (uint32_t slot = begin; slot < end; ++slot) {
-      uint32_t dense = plan->kill_tuple(slot);
+    set.reds.reserve(plan->occ_end(base) - plan->occ_begin(base) - blue_count);
+    plan->ForEachKilled(base, [&](uint32_t dense) {
       if (plan->is_deletion(dense)) {
         set.blues.push_back(plan->deletion_index(dense));
       } else {
         set.reds.push_back(red_of(dense));
       }
-    }
+    });
     mapping.rbsc.sets.push_back(std::move(set));
   }
   // Hand the scratch back all-kNpos: clear exactly the ids set above.

@@ -158,14 +158,12 @@ bool DamageTracker::CanDropBase(uint32_t base) const {
 void DamageTracker::CollectUnkilledDeletions(uint32_t base,
                                              std::vector<uint32_t>* out) const {
   out->clear();
-  uint32_t end = plan_->kill_end(base);
-  for (uint32_t slot = plan_->kill_begin(base); slot < end; ++slot) {
-    uint32_t dense = plan_->kill_tuple(slot);
+  plan_->ForEachKilled(base, [&](uint32_t dense) {
     if (plan_->is_deletion(dense) && !IsKilledDense(dense)) {
       // delprop-lint: hot-path-allocation-ok caller reserves to ΔV size
       out->push_back(dense);
     }
-  }
+  });
 }
 
 bool DamageTracker::SwapWouldImprove(uint32_t base,

@@ -16,27 +16,24 @@ Result<VseSolution> SourceSideEffectSolver::Solve(
   }
   // Elements: ΔV tuples (element id = ΔV position = the plan's
   // deletion_index); sets: candidate base tuples, their covered elements
-  // read straight off the kill CSR rows.
+  // read straight off their kill rows.
   std::shared_ptr<const CompiledInstance> plan = instance.compiled();
   const std::vector<uint32_t>& candidates = plan->candidate_bases();
   SetCoverInstance cover;
   cover.element_count = instance.TotalDeletionTuples();
   cover.sets.reserve(candidates.size());
   for (uint32_t base : candidates) {
-    uint32_t begin = plan->kill_begin(base);
-    uint32_t end = plan->kill_end(base);
     // Count first so the per-set vector is sized exactly — these lists are
     // retained for the whole set-cover run. The count reads the overlay's
     // per-tuple ΔV marks.
     size_t deletions = plan->KillRowDeletionCount(base);
     std::vector<size_t> elements;
     elements.reserve(deletions);
-    for (uint32_t slot = begin; slot < end; ++slot) {
-      uint32_t dense = plan->kill_tuple(slot);
+    plan->ForEachKilled(base, [&](uint32_t dense) {
       if (plan->is_deletion(dense)) {
         elements.push_back(plan->deletion_index(dense));
       }
-    }
+    });
     cover.sets.push_back(std::move(elements));
   }
   Result<std::vector<size_t>> chosen =

@@ -145,11 +145,11 @@ void CheckContent(const VseInstance& live, const VseInstance& rebuilt,
 /// solver outcomes) must be byte-identical to `shadow`, a fresh
 /// CreateFromMaterializedViews over a copy of the live views carrying the
 /// same ΔV and weights. The core comparison covers every PlanCore field,
-/// the kill rows behind KilledBy and ApplyDelta included. The live core is
-/// rebuilt by BuildCore after every witness-changing delta and reweight, so
-/// this checks that the delta-maintained views (compacted in order,
-/// appended to by inserts) and weights rebuild the same core as a
-/// re-index.
+/// the occurrence rows whose runs are the kill rows behind KilledBy and
+/// ApplyDelta included. The live core is rebuilt by BuildCore after every
+/// witness-changing delta and reweight, so this checks that the
+/// delta-maintained views (compacted in order, appended to by inserts) and
+/// weights rebuild the same core as a re-index.
 void CheckDerivedState(const VseInstance& live, const VseInstance& shadow,
                        const std::vector<std::string>& solvers,
                        size_t case_index, uint64_t seed, size_t step,

@@ -67,8 +67,9 @@ struct MutationFuzzSummary {
 ///    views must agree as sets (head values and witness sets);
 ///  * a `CreateFromMaterializedViews` over a copy of the live views — its
 ///    derived state (all_unique_witness, every field of the compiled
-///    PlanCore — kill rows included — and the ΔV overlay) and the outcomes
-///    of `options.solvers` must be BYTE-identical to the live instance's.
+///    PlanCore — the occurrence rows, whose runs are the kill rows,
+///    included — and the ΔV overlay) and the outcomes of `options.solvers`
+///    must be BYTE-identical to the live instance's.
 ///
 /// The live instance applies its deltas and builds its cores through a
 /// 3-thread pool of the run's own, so the core comparison also checks that a

@@ -56,9 +56,10 @@ std::vector<std::string> OracleNames();
 ///    cartesian enumeration on every query (answers AND witness sets);
 ///  * serialize-roundtrip — SerializeToScript -> ScriptSession replay ->
 ///    SerializeToScript is byte-identical and structure-preserving;
-///  * plan-roundtrip — the compiled dense plan (interned bases, witness and
-///    kill CSR rows, deletion lists, candidates) re-encodes the instance API
-///    exactly; kill rows and KilledBy match ReferenceKillIndex;
+///  * plan-roundtrip — the compiled dense plan (interned bases, witness CSR
+///    rows, deletion lists, candidates) re-encodes the instance API exactly;
+///    the kill rows ForEachKilled visits and KilledBy match
+///    ReferenceKillIndex;
 ///  * plan-greedy — GreedySolver on the compiled plan returns a deletion set
 ///    byte-identical to the same algorithm replayed with DeletionSet +
 ///    lineage recomputation and no dense ids;

@@ -71,77 +71,6 @@ TEST(LexerTest, CommentsAreStrippedFromSourceFileTokens) {
   ASSERT_EQ(file.tokens().size(), 4u);
 }
 
-// === discarded-status ===
-
-constexpr const char* kStatusDecls = R"(
-  Status Flush();
-  Result<int> Parse(const char* text);
-)";
-
-TEST(DiscardedStatusTest, FlagsBareCallStatement) {
-  std::vector<Diagnostic> diags = RunRule(
-      std::make_unique<DiscardedStatusRule>(), "src/tool/a.cc",
-      std::string(kStatusDecls) + "void F() { Flush(); }");
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].rule, "discarded-status");
-  EXPECT_EQ(diags[0].line, 4);
-}
-
-TEST(DiscardedStatusTest, FlagsMemberChainAndResultCall) {
-  std::vector<Diagnostic> diags = RunRule(
-      std::make_unique<DiscardedStatusRule>(), "src/tool/a.cc",
-      std::string(kStatusDecls) +
-          "void F(Engine& e) { e.sub->Flush(); Parse(\"x\"); }");
-  EXPECT_EQ(diags.size(), 2u);
-}
-
-TEST(DiscardedStatusTest, AcceptsUsedAndExplicitlyDiscardedValues) {
-  std::vector<Diagnostic> diags = RunRule(
-      std::make_unique<DiscardedStatusRule>(), "src/tool/a.cc",
-      std::string(kStatusDecls) + R"(
-        void F() {
-          Status s = Flush();
-          if (!Flush().ok()) return;
-          (void)Flush();
-          ASSERT_TRUE(Parse("x").ok());
-          return Flush();
-        })");
-  EXPECT_TRUE(diags.empty());
-}
-
-TEST(DiscardedStatusTest, CollectsFromOutOfLineDefinitions) {
-  DiscardedStatusRule rule;
-  SourceFile file("src/tool/a.cc",
-                  "Status ScriptEngine::Execute(int x) { return Ok(); }");
-  rule.Collect(file);
-  EXPECT_TRUE(rule.status_functions().count("Execute"));
-}
-
-TEST(DiscardedStatusTest, NameOverloadedWithOtherReturnTypeIsAmbiguous) {
-  // `Insert` returns Result<TupleRef> on Database but bool on DeletionSet;
-  // the rule must defer such names to the compiler's [[nodiscard]].
-  std::string decls =
-      "Result<int> Insert(int row);\n"
-      "bool Insert(const Ref& ref);\n";
-  DiscardedStatusRule probe;
-  probe.Collect(SourceFile("src/a.h", decls));
-  EXPECT_TRUE(probe.ambiguous_functions().count("Insert"));
-  std::vector<Diagnostic> diags =
-      RunRule(std::make_unique<DiscardedStatusRule>(), "src/b.cc",
-              decls + "void F() { Insert(7); }");
-  EXPECT_TRUE(diags.empty());
-}
-
-TEST(DiscardedStatusTest, SuppressionCommentSilences) {
-  std::vector<Diagnostic> diags = RunRule(
-      std::make_unique<DiscardedStatusRule>(), "src/tool/a.cc",
-      std::string(kStatusDecls) +
-          "void F() {\n"
-          "  Flush();  // delprop-lint: discarded-status-ok best effort\n"
-          "}");
-  EXPECT_TRUE(diags.empty());
-}
-
 // === nondeterministic-iteration ===
 
 TEST(NondeterministicIterationTest, FlagsRangeForOverUnorderedLocal) {
@@ -356,7 +285,7 @@ TEST(HeaderGuardTest, IgnoresNonHeaders) {
 TEST(LinterTest, DefaultRulesAreRegisteredAndFilterable) {
   Linter all;
   all.AddDefaultRules();
-  EXPECT_EQ(all.RuleNames().size(), 9u);
+  EXPECT_EQ(all.RuleNames().size(), 8u);
   Linter subset;
   subset.AddDefaultRules({"header-guard"});
   EXPECT_EQ(subset.RuleNames(),
@@ -391,9 +320,7 @@ TEST(LinterTest, RunOnPathsFlagsSeededViolationFile) {
   fs::path file = dir / "seeded.cc";
   {
     std::ofstream out(file);
-    out << "Status Persist();\n"
-           "void F(std::unordered_set<int> pending) {\n"
-           "  Persist();\n"
+    out << "void F(std::unordered_set<int> pending) {\n"
            "  for (int x : pending) Emit(x);\n"
            "  srand(1);\n"
            "  std::thread t(G);\n"
@@ -407,8 +334,7 @@ TEST(LinterTest, RunOnPathsFlagsSeededViolationFile) {
   std::vector<std::string> rules;
   for (const Diagnostic& d : report->diagnostics) rules.push_back(d.rule);
   EXPECT_EQ(rules,
-            (std::vector<std::string>{"discarded-status",
-                                      "nondeterministic-iteration",
+            (std::vector<std::string>{"nondeterministic-iteration",
                                       "raw-randomness", "raw-threading"}));
   fs::remove_all(fs::temp_directory_path() / "delprop_lint_test");
 

@@ -91,20 +91,24 @@ TEST_F(PlanFig1Test, WitnessRowsKeepRawMembers) {
   }
 }
 
-// Both the kill rows and KilledBy (which reads them) must reproduce the
-// reference index built straight from the views.
+/// The kill row ForEachKilled visits for each base, as view tuple ids.
+std::vector<ViewTupleId> VisitedKillRow(const CompiledInstance& plan,
+                                        uint32_t base) {
+  std::vector<ViewTupleId> row;
+  plan.ForEachKilled(base,
+                     [&](uint32_t dense) { row.push_back(plan.IdOf(dense)); });
+  return row;
+}
+
+// Both the kill rows ForEachKilled visits and KilledBy (which reads them)
+// must reproduce the reference index built straight from the views.
 TEST_F(PlanFig1Test, KillRowsMatchKilledBy) {
   std::shared_ptr<const CompiledInstance> plan = instance().compiled();
   testing::KillIndex reference = testing::ReferenceKillIndex(instance());
   ASSERT_EQ(reference.size(), plan->base_count());
   for (uint32_t b = 0; b < plan->base_count(); ++b) {
     const std::vector<ViewTupleId>& killed = reference.at(plan->base_ref(b));
-    ASSERT_EQ(plan->kill_end(b) - plan->kill_begin(b), killed.size());
-    for (size_t k = 0; k < killed.size(); ++k) {
-      uint32_t dense =
-          plan->kill_tuple(plan->kill_begin(b) + static_cast<uint32_t>(k));
-      EXPECT_EQ(plan->IdOf(dense), killed[k]);
-    }
+    EXPECT_EQ(VisitedKillRow(*plan, b), killed);
     EXPECT_EQ(instance().KilledBy(plan->base_ref(b)), killed);
   }
 }
@@ -269,8 +273,7 @@ std::string CoreDigest(const PlanCore& core) {
          ArrayLine("base_occ_first", core.base_occ_first) +
          ArrayLine("occ_tuple", core.occ_tuple) +
          ArrayLine("occ_witness", core.occ_witness) +
-         ArrayLine("base_kill_first", core.base_kill_first) +
-         ArrayLine("kill_tuple", core.kill_tuple) + "min_witness_raw_members " +
+         "min_witness_raw_members " +
          std::to_string(core.min_witness_raw_members) + "\n";
 }
 
@@ -302,15 +305,22 @@ bool Evaluate(ParsedInstance* parsed,
   return true;
 }
 
-/// Every base's KilledBy lists each view tuple once, ascending.
+/// Every base's KilledBy lists each view tuple once, ascending, and the
+/// kill row ForEachKilled visits is the reference one, in order.
 void ExpectKilledByListsEachTupleOnce(const VseInstance& instance) {
-  for (const TupleRef& ref : instance.compiled()->core()->base_refs) {
+  std::shared_ptr<const CompiledInstance> plan = instance.compiled();
+  testing::KillIndex reference = testing::ReferenceKillIndex(instance);
+  ASSERT_EQ(reference.size(), plan->base_count());
+  for (uint32_t b = 0; b < plan->base_count(); ++b) {
+    const TupleRef& ref = plan->base_ref(b);
     std::vector<ViewTupleId> killed = instance.KilledBy(ref);
     ASSERT_FALSE(killed.empty());
     for (size_t k = 1; k < killed.size(); ++k) {
       EXPECT_TRUE(killed[k - 1] < killed[k])
           << "relation " << ref.relation << " row " << ref.row;
     }
+    EXPECT_EQ(VisitedKillRow(*plan, b), reference.at(ref))
+        << "relation " << ref.relation << " row " << ref.row;
   }
 }
 
@@ -328,8 +338,6 @@ base_refs 6 64fcba9aef76d344
 base_occ_first 7 180349e24a2b7b1b
 occ_tuple 20 dc71f0aa9ca737c5
 occ_witness 20 cf85e55b98630ce5
-base_kill_first 7 e44b4b05943016b6
-kill_tuple 18 48d16ce7f4ac8dd4
 min_witness_raw_members 2
 )";
 // A self-join: E(a, a) fills both atoms of Q(a, a)'s witness, and the other
@@ -345,8 +353,6 @@ base_refs 3 cc84144751d96376
 base_occ_first 4 f8913517331976ab
 occ_tuple 10 64c1e999899a68a4
 occ_witness 10 87986f745ffcff32
-base_kill_first 4 d796a40f919d47aa
-kill_tuple 8 abbe9d3dd7c0b9e4
 min_witness_raw_members 2
 )";
 // Fig. 1 with explicit weights, one of them -0.0.
@@ -361,8 +367,6 @@ base_refs 7 1c3dafa45bd259f7
 base_occ_first 8 139a6821ed35fcb9
 occ_tuple 28 cbed09f453b70835
 occ_witness 28 26eb96fbd08b70e5
-base_kill_first 8 139a6821ed35fcb9
-kill_tuple 28 cbed09f453b70835
 min_witness_raw_members 2
 )";
 // The 1x path forest (6 levels, 3 roots, fanout 3) after a leaf swap.
@@ -377,19 +381,19 @@ base_refs 1092 73b655d9f536ee69
 base_occ_first 1093 a0cd91ceb6c75006
 occ_tuple 14580 e61c5de8ea0312f5
 occ_witness 14580 e61c5de8ea0312f5
-base_kill_first 1093 a0cd91ceb6c75006
-kill_tuple 14580 e61c5de8ea0312f5
 min_witness_raw_members 2
 )";
 
 // Every core array against digests recorded from an earlier builder (two
 // witness walks, a flattened dedup copy in FinishCore): the builder must
 // reproduce them byte for byte, including after a delta, when it rebuilds
-// into the dropped core. The kill rows' per-tuple dedup shows only where
-// one base lies in two witnesses of one view tuple (the projection and the
-// self-join). Every core is also built through pools of 2, 3 and 4 threads,
-// whose range splits must not show: three threads split the forest's views
-// unevenly, and four give the small instances empty ranges.
+// into the dropped core. The kill rows are not stored: an occurrence row
+// lists a tuple twice only where one base lies in two witnesses of one view
+// tuple (the projection and the self-join), so those two cores also check
+// the runs ForEachKilled reads against the reference kill index. Every core
+// is also built through pools of 2, 3 and 4 threads, whose range splits
+// must not show: three threads split the forest's views unevenly, and four
+// give the small instances empty ranges.
 TEST(PlanTest, CoreMatchesRecordedGoldens) {
   for (size_t threads : {0, 2, 3, 4}) {
     SCOPED_TRACE(threads);
