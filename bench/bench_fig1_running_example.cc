@@ -3,7 +3,13 @@
 // discussed in Section II.C (ΔV = (John, XML) on Q3 with minimum Q3
 // side-effect 1; ΔV = (John, TKDE, XML) on Q4 where either witness tuple
 // works by key preservation).
+//
+// Exits 1 and prints `FAIL <row>` on stderr when a stated value does not
+// hold: Scenario 1's proven minimum is not 1, a Scenario 2 tuple does not
+// eliminate ΔV, or a key-preservation solver (rbsc-lowdeg, primal-dual,
+// dp-tree) does not refuse Scenario 1 over both views.
 #include <cstdio>
+#include <string_view>
 
 #include "bench_util.h"
 #include "common/text_table.h"
@@ -35,6 +41,7 @@ void PrintView(const VseInstance& instance, size_t v) {
 }
 
 int Run() {
+  int status = 0;
   bench::Header("Fig. 1 — tables and views of the running example");
   Result<GeneratedVse> generated = BuildFig1Example();
   if (!generated.ok()) {
@@ -55,13 +62,23 @@ int Run() {
     (void)instance->MarkForDeletionByValues(0, {"John", "XML"});
     ExactSolver solver;
     Result<VseSolution> solution = solver.Solve(*instance);
-    if (!bench::ProvenOptimal(solution)) return 1;
+    if (!bench::ProvenOptimal(solution)) {
+      std::fprintf(stderr, "FAIL scenario 1: no proven minimum\n");
+      return 1;
+    }
     std::printf("optimal deletion:\n");
     for (const TupleRef& ref : solution->deletion.Sorted()) {
       std::printf("  %s\n", g->database->RenderTuple(ref).c_str());
     }
     std::printf("minimum view side-effect: %.0f (paper: 1)\n",
                 solution->Cost());
+    if (solution->Cost() != 1.0) {
+      std::fprintf(stderr,
+                   "FAIL scenario 1: minimum view side-effect %.17g, "
+                   "paper: 1\n",
+                   solution->Cost());
+      status = 1;
+    }
   }
 
   bench::Header("Scenario 2 — ΔV = (John, TKDE, XML) on Q4 (key preserving)");
@@ -80,6 +97,11 @@ int Run() {
       table.AddRow({g->database->RenderTuple(ref),
                     report.eliminates_all_deletions ? "yes" : "no",
                     std::to_string(report.side_effect_count)});
+      if (!report.eliminates_all_deletions) {
+        std::fprintf(stderr, "FAIL scenario 2: %s does not eliminate ΔV\n",
+                     g->database->RenderTuple(ref).c_str());
+        status = 1;
+      }
     }
     table.Print();
     std::printf("\nEither single tuple works — the key-preserving property "
@@ -105,12 +127,23 @@ int Run() {
         table.AddRow({name, StatusCodeName(solution.status().code()), "-",
                       "-", "-"});
       }
+      bool must_refuse = std::string_view(name) != "exact" &&
+                         std::string_view(name) != "greedy";
+      bool refused = !solution.ok() && solution.status().code() ==
+                                           StatusCode::kFailedPrecondition;
+      if (must_refuse && !refused) {
+        std::fprintf(stderr,
+                     "FAIL all solvers: %s does not refuse with "
+                     "FailedPrecondition\n",
+                     name);
+        status = 1;
+      }
     }
     table.Print();
     std::printf("\n(rbsc-lowdeg / tree solvers refuse: Q3 is not key "
                 "preserving, (John, XML) has two witnesses.)\n");
   }
-  return 0;
+  return status;
 }
 
 }  // namespace

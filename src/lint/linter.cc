@@ -10,7 +10,6 @@
 
 #include "lint/rules.h"
 #include "lint/semantic_model.h"
-#include "runtime/thread_pool.h"
 
 namespace delprop {
 namespace lint {
@@ -45,7 +44,6 @@ void Linter::AddDefaultRules(const std::vector<std::string>& only) {
   if (wanted("epoch-protocol")) {
     AddRule(std::make_unique<EpochProtocolRule>());
   }
-  if (wanted("header-guard")) AddRule(std::make_unique<HeaderGuardRule>());
 }
 
 void Linter::AddRule(std::unique_ptr<Rule> rule) {
@@ -90,18 +88,12 @@ LintReport Linter::Run(const std::vector<SourceFile>& files) {
     }
   }
 
-  // Check phase: every file gets its own diagnostic slot, so the merged
-  // output is independent of which worker processed which file. The final
-  // sort makes the report byte-identical at any --threads setting.
+  // Check phase: every file gets its own diagnostic slot; the final sort
+  // fixes the report's order.
   std::vector<std::vector<Diagnostic>> slots(files.size());
-  std::unique_ptr<ThreadPool> pool;
-  if (threads_ > 1 && files.size() > 1) {
-    pool = std::make_unique<ThreadPool>(static_cast<size_t>(threads_));
-  }
-  ParallelFor(pool.get(), files.size(), [&](size_t i) {
+  for (size_t i = 0; i < files.size(); ++i) {
     for (const auto& rule : rules_) rule->Check(files[i], &slots[i]);
-  });
-  pool.reset();
+  }
   if (needs_model) {
     for (const auto& rule : rules_) {
       if (rule->wants_semantic_model()) rule->BindModel(nullptr);

@@ -40,14 +40,6 @@ class Linter {
   /// Rule name -> description pairs for --list-rules.
   std::vector<std::pair<std::string, std::string>> RuleDescriptions() const;
 
-  /// Number of worker threads for the Check phase. 1 (the default) runs
-  /// inline; N > 1 fans files out over a runtime ThreadPool. Output is
-  /// byte-identical at any setting: each file writes into its own
-  /// pre-assigned slot and the merged list is sorted before suppression
-  /// filtering.
-  void set_threads(int threads) { threads_ = threads < 1 ? 1 : threads; }
-  int threads() const { return threads_; }
-
   /// Lints in-memory files (also the unit-test entry point). Diagnostics on
   /// lines covered by a `// delprop-lint: <rule>-ok` comment are dropped and
   /// counted in `suppressed`.
@@ -63,7 +55,6 @@ class Linter {
 
  private:
   std::vector<std::unique_ptr<Rule>> rules_;
-  int threads_ = 1;
 };
 
 /// Expands `paths` to the sorted list of C++ source files under them

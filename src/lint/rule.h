@@ -60,8 +60,7 @@ class Rule {
   virtual bool wants_semantic_model() const { return false; }
   virtual void BindModel(const SemanticModel* model) { (void)model; }
 
-  /// Phase 2: append findings for `file` to `out`. May run concurrently for
-  /// different files, so implementations must not mutate rule state.
+  /// Phase 2: append findings for `file` to `out`.
   virtual void Check(const SourceFile& file,
                      std::vector<Diagnostic>* out) const = 0;
 };

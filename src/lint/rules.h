@@ -201,24 +201,6 @@ class EpochProtocolRule : public Rule {
   const SemanticModel* model_ = nullptr;
 };
 
-/// header-guard: every .h file must open with
-/// `#ifndef DELPROP_<PATH>_H_` / `#define` of the same macro, where <PATH>
-/// is the file path with the leading src/ stripped, uppercased, and
-/// punctuation mapped to underscores (tools/bench/tests keep their
-/// directory). `#pragma once` and missing/mismatched guards are findings.
-class HeaderGuardRule : public Rule {
- public:
-  std::string_view name() const override { return "header-guard"; }
-  std::string_view description() const override {
-    return "include guard must be DELPROP_<PATH>_H_";
-  }
-  void Check(const SourceFile& file,
-             std::vector<Diagnostic>* out) const override;
-
-  /// Expected guard macro for `path` (exposed for tests).
-  static std::string ExpectedGuard(std::string_view path);
-};
-
 }  // namespace lint
 }  // namespace delprop
 

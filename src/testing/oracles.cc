@@ -11,6 +11,7 @@
 
 #include "dp/side_effect.h"
 #include "dp/solver.h"
+#include "ilp/covering_model.h"
 #include "ilp/ilp_solver.h"
 #include "plan/compiled_instance.h"
 #include "solvers/damage_tracker.h"
@@ -636,6 +637,156 @@ void CheckTrackerReference(const VseInstance& instance,
   compare_state("after-probes");
 }
 
+/// ilp-decompose: CoveringModel::Decompose restated over the instance API,
+/// with no plan and no kill rows. Union-find over CandidateTuples(): each ΔV
+/// tuple unions every member of every witness, and each preserved tuple
+/// whose every witness holds a candidate unions its candidate members.
+/// Components are numbered by first appearance over ascending candidates;
+/// their base and ΔV lists must match Decompose's in order, and the ΔV
+/// weights bit for bit (both sum in ΔV order).
+void CheckIlpDecompose(const VseInstance& instance,
+                       std::vector<OracleViolation>* out) {
+  auto fail = [&](const std::string& detail) {
+    out->push_back({"ilp-decompose", detail});
+  };
+  const std::vector<TupleRef> candidates = instance.CandidateTuples();
+  const size_t npos = candidates.size();
+  auto candidate_index = [&](const TupleRef& ref) {
+    auto it = std::lower_bound(candidates.begin(), candidates.end(), ref);
+    return it != candidates.end() && *it == ref
+               ? static_cast<size_t>(it - candidates.begin())
+               : npos;
+  };
+  std::vector<size_t> parent(candidates.size());
+  for (size_t i = 0; i < parent.size(); ++i) parent[i] = i;
+  auto find = [&](size_t i) {
+    while (parent[i] != i) i = parent[i];
+    return i;
+  };
+  auto unite = [&](size_t a, size_t b) { parent[find(a)] = find(b); };
+  auto witnesses = [&](const ViewTupleId& id) -> const std::vector<Witness>& {
+    return instance.view(id.view).tuple(id.tuple).witnesses;
+  };
+
+  bool standard_infeasible = false;
+  for (const ViewTupleId& id : instance.deletion_tuples()) {
+    size_t anchor = npos;
+    for (const Witness& witness : witnesses(id)) {
+      if (witness.empty()) standard_infeasible = true;
+      for (const TupleRef& member : witness) {
+        size_t m = candidate_index(member);
+        if (anchor == npos) {
+          anchor = m;
+        } else {
+          unite(anchor, m);
+        }
+      }
+    }
+  }
+  for (size_t v = 0; v < instance.view_count(); ++v) {
+    for (size_t t = 0; t < instance.view(v).size(); ++t) {
+      ViewTupleId id{v, t};
+      if (instance.IsMarkedForDeletion(id)) continue;
+      bool killable = true;
+      for (const Witness& witness : witnesses(id)) {
+        killable = killable &&
+                   std::any_of(witness.begin(), witness.end(),
+                               [&](const TupleRef& member) {
+                                 return candidate_index(member) != npos;
+                               });
+      }
+      if (!killable) continue;
+      size_t anchor = npos;
+      for (const Witness& witness : witnesses(id)) {
+        for (const TupleRef& member : witness) {
+          size_t m = candidate_index(member);
+          if (m == npos) continue;
+          if (anchor == npos) {
+            anchor = m;
+          } else {
+            unite(anchor, m);
+          }
+        }
+      }
+    }
+  }
+
+  std::vector<size_t> comp_of_root(candidates.size(), npos);
+  std::vector<std::vector<TupleRef>> comp_bases;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    size_t root = find(i);
+    if (comp_of_root[root] == npos) {
+      comp_of_root[root] = comp_bases.size();
+      comp_bases.emplace_back();
+    }
+    comp_bases[comp_of_root[root]].push_back(candidates[i]);
+  }
+  std::vector<std::vector<ViewTupleId>> comp_deltas(comp_bases.size());
+  std::vector<double> comp_weight(comp_bases.size(), 0.0);
+  double orphan_weight = 0.0;
+  for (const ViewTupleId& id : instance.deletion_tuples()) {
+    size_t c = npos;
+    for (const Witness& witness : witnesses(id)) {
+      if (!witness.empty()) {
+        c = comp_of_root[find(candidate_index(witness[0]))];
+        break;
+      }
+    }
+    if (c == npos) {
+      orphan_weight += instance.weight(id);
+    } else {
+      comp_deltas[c].push_back(id);
+      comp_weight[c] += instance.weight(id);
+    }
+  }
+
+  std::shared_ptr<const CompiledInstance> plan = instance.compiled();
+  CoveringModel model;
+  model.Decompose(*plan);
+  if (model.standard_infeasible() != standard_infeasible) {
+    fail(std::string("standard_infeasible ") +
+         (model.standard_infeasible() ? "true" : "false") +
+         " != reference " + (standard_infeasible ? "true" : "false"));
+    return;
+  }
+  if (model.orphan_delta_weight() != orphan_weight) {
+    fail("orphan ΔV weight " + FormatCost(model.orphan_delta_weight()) +
+         " != reference " + FormatCost(orphan_weight));
+    return;
+  }
+  if (model.component_count() != comp_bases.size()) {
+    fail(std::to_string(model.component_count()) + " components != " +
+         std::to_string(comp_bases.size()) + " in the reference");
+    return;
+  }
+  for (uint32_t c = 0; c < model.component_count(); ++c) {
+    std::vector<TupleRef> bases;
+    for (const uint32_t* b = model.comp_bases_begin(c);
+         b != model.comp_bases_end(c); ++b) {
+      bases.push_back(plan->base_ref(*b));
+    }
+    std::vector<ViewTupleId> deltas;
+    for (const uint32_t* t = model.comp_tuples_begin(c);
+         t != model.comp_tuples_end(c); ++t) {
+      deltas.push_back(plan->IdOf(*t));
+    }
+    std::string where = " of component " + std::to_string(c);
+    if (bases != comp_bases[c]) {
+      fail("base list" + where + " differs from the reference");
+      return;
+    }
+    if (deltas != comp_deltas[c]) {
+      fail("ΔV list" + where + " differs from the reference");
+      return;
+    }
+    if (model.comp_delta_weight(c) != comp_weight[c]) {
+      fail("ΔV weight " + FormatCost(model.comp_delta_weight(c)) + where +
+           " != reference " + FormatCost(comp_weight[c]));
+      return;
+    }
+  }
+}
+
 struct SolverOutcome {
   bool ran = false;  // ok result (refusals and budget exhaustion stay false)
   VseSolution solution;
@@ -763,13 +914,13 @@ std::string ReportDifference(const SideEffectReport& expected,
 std::vector<std::string> OracleNames() {
   return {"evaluator-crosscheck", "serialize-roundtrip",
           "plan-roundtrip",       "plan-greedy",
-          "tracker-reference",    "solver-error",
-          "feasible",             "report-consistency",
-          "cost-vs-exact",        "dp-tree-exact",
-          "dp-tree-balanced-exact", "ratio-primal-dual",
-          "ratio-lowdeg",         "ratio-claim1",
-          "balanced-cost-vs-exact", "ilp-vs-exact",
-          "ilp-bound-sandwich"};
+          "tracker-reference",    "ilp-decompose",
+          "solver-error",         "feasible",
+          "report-consistency",   "cost-vs-exact",
+          "dp-tree-exact",        "dp-tree-balanced-exact",
+          "ratio-primal-dual",    "ratio-lowdeg",
+          "ratio-claim1",         "balanced-cost-vs-exact",
+          "ilp-vs-exact",         "ilp-bound-sandwich"};
 }
 
 std::vector<OracleViolation> CheckOracles(const VseInstance& instance,
@@ -783,6 +934,7 @@ std::vector<OracleViolation> CheckOracles(const VseInstance& instance,
   CheckPlanRoundTrip(instance, &violations);
   CheckPlanGreedyDifferential(instance, &violations);
   CheckTrackerReference(instance, options, &violations);
+  CheckIlpDecompose(instance, &violations);
 
   // Every approximation solver must produce a feasible, internally consistent
   // solution whether or not the exact optimum is computable.

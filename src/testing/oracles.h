@@ -66,6 +66,10 @@ std::vector<std::string> OracleNames();
 ///  * tracker-reference — a DamageTracker driven through a deterministic
 ///    delete/undelete/marginal/probe/reset script answers every query as a
 ///    from-scratch recomputation over the plan's witness rows does;
+///  * ilp-decompose — CoveringModel::Decompose's components (base and ΔV
+///    lists, ΔV weights, orphan weight, standard infeasibility) match a
+///    union-find over the instance API that couples candidates only through
+///    ΔV tuples and killable preserved tuples;
 ///  * solver-error:<s> — a solver failed with an unexpected status code
 ///    (FailedPrecondition refusals and budget exhaustion are expected);
 ///  * feasible:<s> — a standard-objective solution does not eliminate ΔV

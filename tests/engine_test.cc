@@ -145,22 +145,48 @@ TEST(ScratchPoolTest, InterleavedDeltaVReuseMatchesFreshTracker) {
 
 // --- BatchSolveEngine ------------------------------------------------------
 
+// The engine (memo on) answers every request as a direct solve on the
+// primary does, and as the naive per-request path does: copy the views,
+// rebuild the instance, mark ΔV, run a fresh solver. The last request
+// repeats an earlier one, so the memo answers it.
 TEST(BatchEngineTest, MatchesDirectPerRequestSolve) {
   GeneratedVse generated = MakeWorkload();
   VseInstance& instance = *generated.instance;
   std::vector<SolveRequest> requests = MakeRequests(instance, 6, "greedy");
   requests[2].solver = "local-search";
   requests[4].solver = "exact";
+  requests.push_back(requests[2]);
+
+  std::vector<const ConjunctiveQuery*> queries;
+  for (const auto& query : generated.queries) queries.push_back(query.get());
+  auto naive_solve = [&](const SolveRequest& request) -> Result<VseSolution> {
+    std::vector<View> views;
+    for (size_t v = 0; v < instance.view_count(); ++v) {
+      views.push_back(instance.view(v));
+    }
+    Result<VseInstance> fresh = VseInstance::CreateFromMaterializedViews(
+        *generated.database, queries, std::move(views));
+    if (!fresh.ok()) return fresh.status();
+    for (const ViewTupleId& id : request.delta_v) {
+      if (Status status = fresh->MarkForDeletion(id); !status.ok()) {
+        return status;
+      }
+    }
+    return MakeSolver(request.solver)->Solve(*fresh);
+  };
 
   BatchSolveEngine engine(instance, {});
   std::vector<RequestOutcome> outcomes = engine.SolveBatch(requests);
   ASSERT_EQ(outcomes.size(), requests.size());
+  EXPECT_EQ(engine.stats().cache_hits, 1u);
   for (size_t i = 0; i < requests.size(); ++i) {
     SCOPED_TRACE(i);
+    std::string engine_answer = Render(outcomes[i].result);
+    EXPECT_EQ(engine_answer, Render(naive_solve(requests[i])));
     ASSERT_TRUE(instance.ResetDeletions(requests[i].delta_v).ok());
     Result<VseSolution> direct =
         MakeSolver(requests[i].solver)->Solve(instance);
-    EXPECT_EQ(Render(outcomes[i].result), Render(direct));
+    EXPECT_EQ(engine_answer, Render(direct));
   }
 }
 

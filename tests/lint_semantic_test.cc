@@ -1,22 +1,15 @@
 // Tests for delprop_lint's semantic layer: the SemanticModel (function
-// extraction, call graph, hot reachability), the three semantic rules
+// extraction, call graph, hot reachability) and the three semantic rules
 // (hot-path-allocation, shared-core-mutation, epoch-protocol) with
-// positive/negative/suppression cases each, the parallel Check phase's
-// determinism, and the JSON report/baseline round-trip. Files are fed
-// in-memory through SourceFile; paths are fake but realistic because the
-// hot graph and several checks are path-scoped to src/.
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
+// positive/negative/suppression cases each. Files are fed in-memory through
+// SourceFile; paths are fake but realistic because the hot graph and
+// several checks are path-scoped to src/.
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "lint/compile_commands.h"
-#include "lint/json.h"
-#include "lint/json_report.h"
 #include "lint/linter.h"
 #include "lint/rules.h"
 #include "lint/semantic_model.h"
@@ -492,126 +485,6 @@ TEST(EpochProtocolTest, EpochAdvanceWithCacheClearPasses) {
         }
       )"}});
   EXPECT_TRUE(diags.empty());
-}
-
-// === Parallel Check determinism ===
-
-TEST(LinterParallelTest, ThreadCountsProduceIdenticalReports) {
-  // Many small files with violations in several rules; the merged report
-  // must be identical at every thread count.
-  std::vector<SourceFile> files;
-  for (int i = 0; i < 24; ++i) {
-    std::string path =
-        "src/solvers/f" + std::to_string(i) + ".cc";
-    files.emplace_back(path,
-                       "void F() { std::thread t(G); }\n"
-                       "void H() { srand(" + std::to_string(i) + "); }\n");
-  }
-  Linter serial;
-  serial.AddDefaultRules();
-  LintReport base = serial.Run(files);
-  EXPECT_FALSE(base.diagnostics.empty());
-  for (int threads : {2, 4, 13}) {
-    Linter parallel;
-    parallel.AddDefaultRules();
-    parallel.set_threads(threads);
-    LintReport got = parallel.Run(files);
-    EXPECT_EQ(got.diagnostics, base.diagnostics) << threads << " threads";
-    EXPECT_EQ(got.suppressed, base.suppressed);
-  }
-}
-
-// === JSON report and baseline ===
-
-TEST(JsonTest, ParsesAndDumpsRoundTrip) {
-  Result<JsonValue> doc = ParseJson(
-      "{\"a\": [1, 2.5, true, null], \"b\": {\"c\": \"x\\ny\"}}");
-  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  const JsonValue* a = doc->Find("a");
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->items().size(), 4u);
-  EXPECT_EQ(a->items()[0].AsNumber(), 1.0);
-  Result<JsonValue> again = ParseJson(doc->Dump());
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->Dump(), doc->Dump());
-  EXPECT_FALSE(ParseJson("{oops}").ok());
-  EXPECT_FALSE(ParseJson("[1, 2] tail").ok());
-}
-
-TEST(JsonReportTest, BaselineRoundTripAbsorbsKnownFindings) {
-  LintReport report;
-  report.files_checked = 3;
-  report.diagnostics.push_back(
-      Diagnostic{"src/a.cc", 10, "hot-path-allocation", "operator new"});
-  report.diagnostics.push_back(
-      Diagnostic{"src/b.cc", 20, "epoch-protocol", "swap without release"});
-  std::string json = ReportToJson(report, "abc123");
-
-  namespace fs = std::filesystem;
-  fs::path path = fs::temp_directory_path() / "delprop_lint_baseline.json";
-  {
-    std::ofstream out(path);
-    out << json;
-  }
-  Result<std::vector<BaselineEntry>> baseline = LoadBaseline(path.string());
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  ASSERT_EQ(baseline->size(), 2u);
-
-  // Same findings at drifted line numbers: all absorbed, none fresh.
-  std::vector<Diagnostic> drifted = report.diagnostics;
-  drifted[0].line = 14;
-  BaselineDelta delta = ApplyBaseline(drifted, *baseline);
-  EXPECT_TRUE(delta.fresh.empty());
-  EXPECT_EQ(delta.baselined, 2u);
-  EXPECT_EQ(delta.stale, 0u);
-
-  // A new finding stays fresh; a fixed finding leaves a stale entry.
-  std::vector<Diagnostic> changed = {
-      report.diagnostics[0],
-      Diagnostic{"src/c.cc", 5, "shared-core-mutation", "field write"}};
-  delta = ApplyBaseline(changed, *baseline);
-  ASSERT_EQ(delta.fresh.size(), 1u);
-  EXPECT_EQ(delta.fresh[0].file, "src/c.cc");
-  EXPECT_EQ(delta.baselined, 1u);
-  EXPECT_EQ(delta.stale, 1u);
-
-  // A duplicated violation exceeds the baseline's multiset budget.
-  std::vector<Diagnostic> duplicated = {report.diagnostics[0],
-                                        report.diagnostics[0]};
-  delta = ApplyBaseline(duplicated, *baseline);
-  EXPECT_EQ(delta.fresh.size(), 1u);
-
-  fs::remove(path);
-  EXPECT_FALSE(LoadBaseline("/no/such/baseline.json").ok());
-}
-
-TEST(CompileCommandsTest, ReadsFileEntriesRelativeToBase) {
-  namespace fs = std::filesystem;
-  fs::path dir = fs::temp_directory_path() / "delprop_lint_cc_test";
-  fs::create_directories(dir / "src");
-  {
-    std::ofstream out(dir / "src" / "a.cc");
-    out << "int x;\n";
-  }
-  fs::path db = dir / "compile_commands.json";
-  {
-    std::ofstream out(db);
-    out << "[{\"directory\": \"" << dir.generic_string()
-        << "\", \"command\": \"c++ -c src/a.cc\", \"file\": \""
-        << (dir / "src" / "a.cc").generic_string()
-        << "\"},\n"
-           " {\"directory\": \"" << dir.generic_string()
-        << "\", \"command\": \"c++ -c gone.cc\", \"file\": \""
-        << (dir / "gone.cc").generic_string() << "\"}]\n";
-  }
-  Result<std::vector<std::string>> files =
-      ReadCompileCommands(db.string(), dir.string());
-  ASSERT_TRUE(files.ok()) << files.status().ToString();
-  // The stale entry (gone.cc does not exist) is dropped.
-  EXPECT_EQ(*files, std::vector<std::string>{"src/a.cc"});
-  fs::remove_all(dir);
-
-  EXPECT_FALSE(ReadCompileCommands("/no/such/db.json", ".").ok());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Unit tests for the delprop-lint static-analysis library: lexer behavior,
-// each rule's positive/negative cases, suppression comments, and the
-// header-guard path mapping. Files are fed in-memory through SourceFile, so
-// the paths below are fake but realistic — several rules are path-scoped.
+// each rule's positive/negative cases, and suppression comments. Files are
+// fed in-memory through SourceFile, so the paths below are fake but
+// realistic — several rules are path-scoped.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -235,61 +235,16 @@ TEST(HotPathHashingTest, SuppressionCommentSilences) {
           .empty());
 }
 
-// === header-guard ===
-
-TEST(HeaderGuardTest, ExpectedGuardMapsPaths) {
-  EXPECT_EQ(HeaderGuardRule::ExpectedGuard("src/lint/rules.h"),
-            "DELPROP_LINT_RULES_H_");
-  EXPECT_EQ(HeaderGuardRule::ExpectedGuard("bench/bench_util.h"),
-            "DELPROP_BENCH_BENCH_UTIL_H_");
-  EXPECT_EQ(HeaderGuardRule::ExpectedGuard("/abs/path/src/query/view.h"),
-            "DELPROP_QUERY_VIEW_H_");
-}
-
-TEST(HeaderGuardTest, AcceptsMatchingGuard) {
-  EXPECT_TRUE(RunRule(std::make_unique<HeaderGuardRule>(), "src/query/view.h",
-                      "// comment first is fine\n"
-                      "#ifndef DELPROP_QUERY_VIEW_H_\n"
-                      "#define DELPROP_QUERY_VIEW_H_\n"
-                      "#endif  // DELPROP_QUERY_VIEW_H_\n")
-                  .empty());
-}
-
-TEST(HeaderGuardTest, FlagsMismatchPragmaOnceAndMissingDefine) {
-  std::vector<Diagnostic> wrong =
-      RunRule(std::make_unique<HeaderGuardRule>(), "src/query/view.h",
-              "#ifndef WRONG_H_\n#define WRONG_H_\n#endif\n");
-  ASSERT_EQ(wrong.size(), 1u);
-  EXPECT_NE(wrong[0].message.find("DELPROP_QUERY_VIEW_H_"),
-            std::string::npos);
-
-  EXPECT_EQ(RunRule(std::make_unique<HeaderGuardRule>(), "src/query/view.h",
-                    "#pragma once\nint x;\n")
-                .size(),
-            1u);
-
-  EXPECT_EQ(RunRule(std::make_unique<HeaderGuardRule>(), "src/query/view.h",
-                    "#ifndef DELPROP_QUERY_VIEW_H_\n#include <vector>\n")
-                .size(),
-            1u);
-}
-
-TEST(HeaderGuardTest, IgnoresNonHeaders) {
-  EXPECT_TRUE(RunRule(std::make_unique<HeaderGuardRule>(), "src/query/view.cc",
-                      "int x;")
-                  .empty());
-}
-
 // === Linter plumbing ===
 
 TEST(LinterTest, DefaultRulesAreRegisteredAndFilterable) {
   Linter all;
   all.AddDefaultRules();
-  EXPECT_EQ(all.RuleNames().size(), 8u);
+  EXPECT_EQ(all.RuleNames().size(), 7u);
   Linter subset;
-  subset.AddDefaultRules({"header-guard"});
+  subset.AddDefaultRules({"raw-randomness"});
   EXPECT_EQ(subset.RuleNames(),
-            std::vector<std::string>{"header-guard"});
+            std::vector<std::string>{"raw-randomness"});
 }
 
 TEST(LinterTest, ReportIsSortedAndCountsSuppressions) {

@@ -1,120 +1,24 @@
 // delprop_lint — project-invariant static analysis for the delprop tree.
 //
-//   delprop_lint --check src tools bench tests     # lint these roots
-//   delprop_lint --check --rules=header-guard src  # subset of rules
-//   delprop_lint --check --threads=4 src           # parallel Check phase
-//   delprop_lint --check --json=out.json src       # machine-readable report
-//   delprop_lint --check --baseline=lint_baseline.json src
-//   delprop_lint --check --compile-commands=build/compile_commands.json src
-//   delprop_lint --list-rules                      # what is enforced
+//   delprop_lint --check src tools bench tests           # lint these roots
+//   delprop_lint --check --rules=raw-randomness src      # subset of rules
+//   delprop_lint --list-rules                            # what is enforced
 //
 // Exit status: 0 clean, 1 violations found, 2 usage or I/O error. Run from
-// the repo root — header-guard expectations and path-scoped rules key off
-// the relative paths you pass. Suppress a finding with a comment on (or one
-// line above) the flagged line:  // delprop-lint: <rule>-ok <justification>
-//
-// With --compile-commands the file list is the union of the compilation
-// database (restricted to the given roots) and the directory glob — the
-// database is authoritative for what compiles, the glob picks up headers,
-// which never appear in the database. With --baseline, findings matching a
-// committed baseline entry are reported separately and do not fail the run.
-//
-// --json output is guarded like the committed bench snapshots: overwriting
-// a git-tracked report from a dirty tree is refused (the embedded git stamp
-// would be irreproducible) unless DELPROP_LINT_ALLOW_DIRTY=1 is set.
-#include <algorithm>
+// the repo root — path-scoped rules key off the relative paths you pass.
+// Suppress a finding with a comment on (or one line above) the flagged
+// line:  // delprop-lint: <rule>-ok <justification>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "lint/compile_commands.h"
-#include "lint/json_report.h"
 #include "lint/linter.h"
 
 namespace {
 
-std::string RunCommand(const char* command) {
-  FILE* pipe = ::popen(command, "r");
-  if (pipe == nullptr) return "";
-  std::string out;
-  char buffer[256];
-  while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) out += buffer;
-  ::pclose(pipe);
-  return out;
-}
-
-// True when a tracked file other than a lint report/baseline has
-// uncommitted changes. Regenerating the baseline itself must not flip the
-// stamp to -dirty — the report is an output, not code.
-bool GitTreeDirty() {
-  std::string status =
-      RunCommand("git status --porcelain --untracked-files=no 2>/dev/null");
-  size_t start = 0;
-  while (start < status.size()) {
-    size_t end = status.find('\n', start);
-    if (end == std::string::npos) end = status.size();
-    std::string line = status.substr(start, end - start);
-    start = end + 1;
-    if (line.size() <= 3) continue;
-    std::string path = line.substr(3);
-    size_t slash = path.rfind('/');
-    std::string base =
-        slash == std::string::npos ? path : path.substr(slash + 1);
-    bool is_report = base == "lint_baseline.json";
-    if (!is_report) return true;
-  }
-  return false;
-}
-
-std::string GitDescribe() {
-  std::string out = RunCommand("git describe --always 2>/dev/null");
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
-    out.pop_back();
-  }
-  if (out.empty()) return "";
-  return GitTreeDirty() ? out + "-dirty" : out;
-}
-
-bool GitTracksFile(const std::string& path) {
-  std::string command =
-      "git ls-files --error-unmatch -- \"" + path + "\" >/dev/null 2>&1";
-  return std::system(command.c_str()) == 0;
-}
-
-bool JsonGuard(const std::string& git, const std::string& path) {
-  bool dirty = git.size() >= 6 &&
-               git.compare(git.size() - 6, 6, "-dirty") == 0;
-  if (!dirty || !GitTracksFile(path)) return true;
-  const char* allow = std::getenv("DELPROP_LINT_ALLOW_DIRTY");
-  bool allowed = allow != nullptr && std::string(allow) == "1";
-  std::fprintf(stderr,
-               "delprop_lint: %s: refusing to overwrite tracked report %s "
-               "from a dirty tree (git: %s) — commit first, or set "
-               "DELPROP_LINT_ALLOW_DIRTY=1 to override\n",
-               allowed ? "warning" : "error", path.c_str(), git.c_str());
-  return allowed;
-}
-
-// True when `file` lies under directory `root` (or is `root` itself),
-// comparing generic ("/"-separated) relative paths with "./" stripped.
-bool UnderRoot(const std::string& file, std::string root) {
-  if (root.rfind("./", 0) == 0) root = root.substr(2);
-  while (!root.empty() && root.back() == '/') root.pop_back();
-  std::string f = file;
-  if (f.rfind("./", 0) == 0) f = f.substr(2);
-  if (f == root) return true;
-  return f.size() > root.size() && f.compare(0, root.size(), root) == 0 &&
-         f[root.size()] == '/';
-}
-
 void Usage() {
   std::fprintf(stderr,
-               "usage: delprop_lint [--rules=r1,r2] [--threads=N] "
-               "[--json=FILE] [--baseline=FILE]\n"
-               "                    [--compile-commands=FILE] [--list-rules] "
+               "usage: delprop_lint [--rules=r1,r2] [--list-rules] "
                "--check <path>...\n");
 }
 
@@ -125,36 +29,21 @@ int main(int argc, char** argv) {
   using delprop::lint::LintReport;
 
   bool list_rules = false;
-  int threads = 1;
-  std::string json_path;
-  std::string baseline_path;
-  std::string compile_commands_path;
   std::vector<std::string> only_rules;
   std::vector<std::string> paths;
-  // Value flags accept both `--flag=V` and `--flag V` (the bench CLIs use
-  // the space form, so scripts can treat the tools uniformly).
-  auto flag_value = [&](const std::string& arg, std::string_view flag,
-                        int* i, std::string* value) {
-    if (arg.rfind(std::string(flag) + "=", 0) == 0) {
-      *value = arg.substr(flag.size() + 1);
-      return true;
-    }
-    if (arg == flag && *i + 1 < argc) {
-      *value = argv[++*i];
-      return true;
-    }
-    return false;
-  };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    std::string value;
     if (arg == "--check") {
       // Default (and only) mode; accepted for a self-describing command
       // line in scripts and CMake.
     } else if (arg == "--list-rules") {
       list_rules = true;
-    } else if (flag_value(arg, "--rules", &i, &value)) {
-      const std::string& csv = value;
+    } else if (arg.rfind("--rules=", 0) == 0 ||
+               (arg == "--rules" && i + 1 < argc)) {
+      // Both `--rules=a,b` and `--rules a,b` (the bench CLIs use the space
+      // form, so scripts can treat the tools uniformly).
+      std::string csv =
+          arg == "--rules" ? argv[++i] : arg.substr(arg.find('=') + 1);
       size_t start = 0;
       while (start <= csv.size()) {
         size_t comma = csv.find(',', start);
@@ -164,18 +53,6 @@ int main(int argc, char** argv) {
         }
         start = comma + 1;
       }
-    } else if (flag_value(arg, "--threads", &i, &value)) {
-      threads = std::atoi(value.c_str());
-      if (threads < 1) {
-        std::fprintf(stderr, "delprop_lint: --threads must be >= 1\n");
-        return 2;
-      }
-    } else if (flag_value(arg, "--json", &i, &value)) {
-      json_path = value;
-    } else if (flag_value(arg, "--baseline", &i, &value)) {
-      baseline_path = value;
-    } else if (flag_value(arg, "--compile-commands", &i, &value)) {
-      compile_commands_path = value;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "delprop_lint: unknown option '%s'\n",
                    arg.c_str());
@@ -193,7 +70,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "delprop_lint: unknown rule in --rules=...\n");
     return 2;
   }
-  linter.set_threads(threads);
 
   if (list_rules) {
     for (const auto& [name, description] : linter.RuleDescriptions()) {
@@ -207,38 +83,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // The glob is the base file list (and validates that every path exists);
-  // the compilation database, when given, contributes what actually
-  // compiles under the same roots — catching sources a glob of the wrong
-  // directory would miss.
   delprop::Result<std::vector<std::string>> files =
       delprop::lint::CollectSourceFiles(paths);
   if (!files.ok()) {
     std::fprintf(stderr, "delprop_lint: %s\n",
                  files.status().ToString().c_str());
     return 2;
-  }
-  if (!compile_commands_path.empty()) {
-    delprop::Result<std::vector<std::string>> from_db =
-        delprop::lint::ReadCompileCommands(compile_commands_path, ".");
-    if (!from_db.ok()) {
-      // A missing database is expected before the first configure; the
-      // glob already covers the roots, so fall back with a note.
-      std::fprintf(stderr,
-                   "delprop_lint: note: %s; using directory glob only\n",
-                   from_db.status().ToString().c_str());
-    } else {
-      for (const std::string& file : *from_db) {
-        for (const std::string& root : paths) {
-          if (UnderRoot(file, root)) {
-            files->push_back(file);
-            break;
-          }
-        }
-      }
-      std::sort(files->begin(), files->end());
-      files->erase(std::unique(files->begin(), files->end()), files->end());
-    }
   }
   if (files->empty()) {
     std::fprintf(stderr,
@@ -254,51 +104,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<delprop::lint::Diagnostic> to_print = report->diagnostics;
-  size_t baselined = 0;
-  size_t stale = 0;
-  if (!baseline_path.empty()) {
-    delprop::Result<std::vector<delprop::lint::BaselineEntry>> baseline =
-        delprop::lint::LoadBaseline(baseline_path);
-    if (!baseline.ok()) {
-      std::fprintf(stderr, "delprop_lint: %s\n",
-                   baseline.status().ToString().c_str());
-      return 2;
-    }
-    delprop::lint::BaselineDelta delta =
-        delprop::lint::ApplyBaseline(report->diagnostics, *baseline);
-    to_print = std::move(delta.fresh);
-    baselined = delta.baselined;
-    stale = delta.stale;
-  }
-
-  if (!json_path.empty()) {
-    std::string git = GitDescribe();
-    if (!JsonGuard(git, json_path)) return 2;
-    std::ofstream out(json_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "delprop_lint: cannot write %s\n",
-                   json_path.c_str());
-      return 2;
-    }
-    out << delprop::lint::ReportToJson(*report, git);
-  }
-
-  for (const delprop::lint::Diagnostic& diag : to_print) {
+  for (const delprop::lint::Diagnostic& diag : report->diagnostics) {
     std::printf("%s\n", diag.ToString().c_str());
   }
   std::fprintf(stderr,
                "delprop_lint: %zu file(s), %zu violation(s), %zu "
-               "suppressed",
-               report->files_checked, to_print.size(), report->suppressed);
-  if (!baseline_path.empty()) {
-    std::fprintf(stderr, ", %zu baselined", baselined);
-    if (stale > 0) {
-      std::fprintf(stderr, " (%zu stale baseline entr%s — fixed findings "
-                           "still listed in %s)",
-                   stale, stale == 1 ? "y" : "ies", baseline_path.c_str());
-    }
-  }
-  std::fprintf(stderr, "\n");
-  return to_print.empty() ? 0 : 1;
+               "suppressed\n",
+               report->files_checked, report->diagnostics.size(),
+               report->suppressed);
+  return report->clean() ? 0 : 1;
 }
