@@ -101,27 +101,30 @@ int AblateReverseDelete() {
     Result<GeneratedVse> generated = GeneratePathSchema(rng, params);
     if (!generated.ok()) return 1;
     const VseInstance& instance = *generated->instance;
-    Result<TreeStructure> structure =
-        BuildTreeStructure(instance, TreeMode::kDeltaPaths);
-    if (!structure.ok()) return 1;
+    std::shared_ptr<const CompiledInstance> plan = instance.compiled();
+    TreeStructure structure;
+    if (!structure.Build(instance, *plan, TreeMode::kDeltaPaths).ok()) {
+      return 1;
+    }
     PrimalDualOptions with, without;
     without.skip_reverse_delete = true;
-    Result<std::vector<size_t>> a =
-        PrimalDualTreeSolver::SolveOnTree(*structure, with);
-    Result<std::vector<size_t>> b =
-        PrimalDualTreeSolver::SolveOnTree(*structure, without);
-    if (!a.ok() || !b.ok()) return 1;
+    PrimalDualTreeSolver solver;
+    std::vector<size_t> a, b;
+    if (!solver.SolveOnTree(structure, with, &a).ok() ||
+        !solver.SolveOnTree(structure, without, &b).ok()) {
+      return 1;
+    }
     auto cost_of = [&](const std::vector<size_t>& nodes) {
       DeletionSet deletion;
       for (size_t node : nodes) {
-        deletion.Insert(structure->forest.node_ref(node));
+        deletion.Insert(structure.forest.node_ref(node));
       }
       return EvaluateDeletion(instance, deletion).side_effect_weight;
     };
     table.AddRow({std::to_string(levels), std::to_string(fanout),
                   std::to_string(instance.TotalDeletionTuples()),
-                  FmtDouble(cost_of(*a), 0), FmtDouble(cost_of(*b), 0),
-                  std::to_string(a->size()), std::to_string(b->size())});
+                  FmtDouble(cost_of(a), 0), FmtDouble(cost_of(b), 0),
+                  std::to_string(a.size()), std::to_string(b.size())});
   }
   table.Print();
   std::printf("\nTakeaway: skipping reverse-delete keeps feasibility but "

@@ -7,15 +7,63 @@
 namespace delprop {
 namespace {
 
-// Row-table slot of a row that occurs in no witness.
+// Key-table slot of a key that no witness names.
 constexpr uint32_t kNoNode = 0xFFFFFFFFu;
 
-// Atom pairs of `query` that share at least one variable; witness tuples
-// matched by such atom pairs are adjacent in the data dual graph.
-std::vector<std::pair<size_t, size_t>> JoinedAtomPairs(
-    const ConjunctiveQuery& query) {
-  std::vector<std::pair<size_t, size_t>> pairs;
+// The edge set is open-addressed over a power-of-two slot array, each
+// undirected edge packed as (min << 32 | max). No edge packs to kNoEdge: it
+// would need min == max.
+constexpr uint64_t kNoEdge = ~uint64_t{0};
+
+size_t EdgeHome(uint64_t key, size_t mask) {
+  uint64_t h = key * 0x9e3779b97f4a7c15ULL;
+  return static_cast<size_t>(h ^ (h >> 32)) & mask;
+}
+
+// Empties `slots` with room for `expected` edges at half load, keeping the
+// vector's capacity.
+void ClearEdgeSet(size_t expected, std::vector<uint64_t>* slots) {
+  size_t capacity = 16;
+  while (capacity < 2 * expected) capacity *= 2;
+  slots->assign(capacity, kNoEdge);
+}
+
+void PlaceEdge(uint64_t key, std::vector<uint64_t>* slots) {
+  size_t mask = slots->size() - 1;
+  size_t slot = EdgeHome(key, mask);
+  while ((*slots)[slot] != kNoEdge) slot = (slot + 1) & mask;
+  (*slots)[slot] = key;
+}
+
+// Adds the edge {a, b}, a != b, unless `slots` holds it; `edges` lists the
+// edges added so far, from which a full set is regrown.
+bool InsertEdge(uint32_t a, uint32_t b,
+                const std::vector<std::pair<uint32_t, uint32_t>>& edges,
+                std::vector<uint64_t>* slots) {
+  if (2 * (edges.size() + 1) > slots->size()) {
+    ClearEdgeSet(edges.size() + 1, slots);
+    for (auto [x, y] : edges) {
+      PlaceEdge(x < y ? (uint64_t{x} << 32 | y) : (uint64_t{y} << 32 | x),
+                slots);
+    }
+  }
+  uint64_t key = a < b ? (uint64_t{a} << 32 | b) : (uint64_t{b} << 32 | a);
+  size_t mask = slots->size() - 1;
+  for (size_t slot = EdgeHome(key, mask);; slot = (slot + 1) & mask) {
+    if ((*slots)[slot] == key) return false;
+    if ((*slots)[slot] == kNoEdge) {
+      (*slots)[slot] = key;
+      return true;
+    }
+  }
+}
+
+}  // namespace
+
+void DataForest::AppendJoinedAtoms(const ConjunctiveQuery& query,
+                                   std::vector<JoinedAtoms>* pairs) {
   const auto& atoms = query.atoms();
+  pairs->reserve(pairs->size() + atoms.size() * atoms.size() / 2);
   for (size_t i = 0; i < atoms.size(); ++i) {
     for (size_t j = i + 1; j < atoms.size(); ++j) {
       bool shared = false;
@@ -29,86 +77,17 @@ std::vector<std::pair<size_t, size_t>> JoinedAtomPairs(
         }
         if (shared) break;
       }
-      if (shared) pairs.emplace_back(i, j);
-    }
-  }
-  return pairs;
-}
-
-class DisjointSets {
- public:
-  explicit DisjointSets(size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), size_t{0});
-  }
-  size_t Find(size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  // Returns false if a and b were already connected.
-  bool Union(size_t a, size_t b) {
-    size_t ra = Find(a), rb = Find(b);
-    if (ra == rb) return false;
-    parent_[ra] = rb;
-    return true;
-  }
-
- private:
-  std::vector<size_t> parent_;
-};
-
-// Open-addressing set of undirected edges, each packed as (min << 32 | max).
-class EdgeSet {
- public:
-  // Sized for `expected` edges without a rehash.
-  explicit EdgeSet(size_t expected) { Rehash(expected); }
-
-  // Adds the edge {a, b}, a != b; false if it was present already.
-  bool Insert(uint32_t a, uint32_t b) {
-    if (2 * (size_ + 1) > slots_.size()) Rehash(size_ + 1);
-    uint64_t key = a < b ? (uint64_t{a} << 32 | b) : (uint64_t{b} << 32 | a);
-    size_t mask = slots_.size() - 1;
-    for (size_t slot = HomeSlot(key);; slot = (slot + 1) & mask) {
-      if (slots_[slot] == key) return false;
-      if (slots_[slot] == kEmpty) {
-        slots_[slot] = key;
-        ++size_;
-        return true;
+      if (shared) {
+        pairs->emplace_back(static_cast<uint32_t>(i),
+                            static_cast<uint32_t>(j));
       }
     }
   }
+}
 
- private:
-  // No edge packs to this: it would need min == max.
-  static constexpr uint64_t kEmpty = ~uint64_t{0};
-
-  size_t HomeSlot(uint64_t key) const {
-    uint64_t h = key * 0x9e3779b97f4a7c15ULL;
-    return static_cast<size_t>(h ^ (h >> 32)) & (slots_.size() - 1);
-  }
-
-  void Rehash(size_t size) {
-    size_t capacity = 16;
-    while (capacity < 2 * size) capacity *= 2;
-    std::vector<uint64_t> old = std::move(slots_);
-    slots_.assign(capacity, kEmpty);
-    size_t mask = capacity - 1;
-    for (uint64_t key : old) {
-      if (key == kEmpty) continue;
-      size_t slot = HomeSlot(key);
-      while (slots_[slot] != kEmpty) slot = (slot + 1) & mask;
-      slots_[slot] = key;
-    }
-  }
-
-  std::vector<uint64_t> slots_;
-  size_t size_ = 0;
-};
-
-}  // namespace
-
+// A one-shot build for the tools and probes; the tree solvers rebuild their
+// own forest in place.
+// delprop-hot-stop
 DataForest DataForest::Build(const std::vector<const View*>& views) {
   DataForest forest;
 
@@ -132,107 +111,163 @@ DataForest DataForest::Build(const std::vector<const View*>& views) {
       }
     }
   }
-  forest.row_first_.assign(row_count.size() + 1, 0);
+  std::vector<size_t> row_first(row_count.size() + 1, 0);
   for (size_t r = 0; r < row_count.size(); ++r) {
-    forest.row_first_[r + 1] = forest.row_first_[r] + row_count[r];
+    row_first[r + 1] = row_first[r] + row_count[r];
   }
-  forest.node_of_row_.assign(forest.row_first_.back(), kNoNode);
 
-  // Main pass, in (view, tuple, witness, member) order: intern nodes on
-  // first touch, record each witness's sorted node list, and collect the
-  // edges between tuples matched by joined atoms in first-seen order. A
-  // forest has fewer edges than nodes, and there are no more nodes than
-  // row-table slots or witness members.
-  std::vector<uint32_t> witness_first;
-  witness_first.reserve(witness_count + 1);
+  // Main pass, in (view, tuple, witness, member) order, each member keyed
+  // by its row-table slot. A forest has fewer edges than nodes, and there
+  // are no more nodes than row-table slots or witness members.
+  size_t node_bound = std::min(row_first.back(), member_count);
+  forest.Reset(row_first.back(), node_bound);
+  forest.row_first_ = std::move(row_first);
+  forest.witness_first_.reserve(witness_count + 1);
   forest.witnesses_.reserve(witness_count);
   forest.witness_nodes_.reserve(member_count);
-  size_t node_bound = std::min(forest.node_of_row_.size(), member_count);
-  EdgeSet edge_set(node_bound);
-  std::vector<std::pair<uint32_t, uint32_t>> edges;
-  edges.reserve(node_bound);
-  std::vector<uint32_t> atom_nodes;  // one witness's nodes, in atom order
+  forest.edges_.reserve(node_bound);
+  std::vector<JoinedAtoms> joined;
+  std::vector<uint32_t> keys;
   for (size_t v = 0; v < views.size(); ++v) {
     const View& view = *views[v];
-    auto joined_pairs = JoinedAtomPairs(view.query());
+    joined.clear();
+    AppendJoinedAtoms(view.query(), &joined);
     for (size_t t = 0; t < view.size(); ++t) {
       const ViewTuple& tuple = view.tuple(t);
       for (size_t w = 0; w < tuple.witnesses.size(); ++w) {
-        atom_nodes.clear();
+        keys.clear();
         for (const TupleRef& ref : tuple.witnesses[w]) {
-          uint32_t& node =
-              forest.node_of_row_[forest.row_first_[ref.relation] + ref.row];
-          if (node == kNoNode) {
-            node = static_cast<uint32_t>(forest.refs_.size());
-            forest.refs_.push_back(ref);
-          }
-          atom_nodes.push_back(node);
+          keys.push_back(
+              static_cast<uint32_t>(forest.row_first_[ref.relation] + ref.row));
         }
-        for (auto [i, j] : joined_pairs) {
-          uint32_t a = atom_nodes[i];
-          uint32_t b = atom_nodes[j];
-          if (a != b && edge_set.Insert(a, b)) edges.emplace_back(a, b);
-        }
-        std::vector<uint32_t>& all = forest.witness_nodes_;
-        witness_first.push_back(static_cast<uint32_t>(all.size()));
-        all.insert(all.end(), atom_nodes.begin(), atom_nodes.end());
-        auto first = all.begin() + witness_first.back();
-        std::sort(first, all.end());
-        all.erase(std::unique(first, all.end()), all.end());
-        forest.witnesses_.push_back(ForestWitness{v, t, w, {}});
+        forest.AddWitness(v, t, w, keys, tuple.witnesses[w], joined);
       }
     }
   }
-  witness_first.push_back(static_cast<uint32_t>(forest.witness_nodes_.size()));
-  const std::span<const uint32_t> all_nodes(forest.witness_nodes_);
-  for (size_t i = 0; i < forest.witnesses_.size(); ++i) {
-    forest.witnesses_[i].nodes = all_nodes.subspan(
-        witness_first[i], witness_first[i + 1] - witness_first[i]);
+  forest.Finish();
+  return forest;
+}
+
+void DataForest::Reset(size_t key_count, size_t node_bound) {
+  for (uint32_t key : keys_) node_of_key_[key] = kNoNode;
+  node_of_key_.resize(key_count, kNoNode);
+  refs_.clear();
+  keys_.clear();
+  row_first_.clear();
+  witness_nodes_.clear();
+  witnesses_.clear();
+  witness_first_.clear();
+  edges_.clear();
+  refs_.reserve(node_bound);
+  keys_.reserve(node_bound);
+  recent_peer_.clear();
+  recent_peer_.reserve(node_bound);
+  ClearEdgeSet(node_bound, &edge_slots_);
+  component_count_ = 0;
+  is_forest_ = true;
+}
+
+void DataForest::AddWitness(size_t view_index, size_t tuple_index,
+                            size_t witness_index,
+                            std::span<const uint32_t> keys,
+                            std::span<const TupleRef> refs,
+                            std::span<const JoinedAtoms> joined) {
+  // Intern on first touch, then record the edges between tuples matched by
+  // joined atoms in first-seen order and the witness's sorted node list.
+  atom_nodes_.clear();
+  atom_nodes_.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    uint32_t& node = node_of_key_[keys[i]];
+    if (node == kNoNode) {
+      node = static_cast<uint32_t>(refs_.size());
+      refs_.push_back(refs[i]);
+      keys_.push_back(keys[i]);
+      recent_peer_.push_back(kNoNode);
+    }
+    atom_nodes_.push_back(node);
+  }
+  for (auto [i, j] : joined) {
+    uint32_t a = atom_nodes_[i];
+    uint32_t b = atom_nodes_[j];
+    // Witnesses repeat edges; each node's last edge catches most repeats
+    // before the edge set is probed.
+    if (a == b || recent_peer_[a] == b || recent_peer_[b] == a) continue;
+    if (InsertEdge(a, b, edges_, &edge_slots_)) edges_.emplace_back(a, b);
+    recent_peer_[a] = b;
+    recent_peer_[b] = a;
+  }
+  witness_first_.push_back(static_cast<uint32_t>(witness_nodes_.size()));
+  witness_nodes_.insert(witness_nodes_.end(), atom_nodes_.begin(),
+                        atom_nodes_.end());
+  auto first = witness_nodes_.begin() + witness_first_.back();
+  std::sort(first, witness_nodes_.end());
+  witness_nodes_.erase(std::unique(first, witness_nodes_.end()),
+                       witness_nodes_.end());
+  witnesses_.push_back(
+      ForestWitness{view_index, tuple_index, witness_index, {}});
+}
+
+uint32_t DataForest::Find(uint32_t node) {
+  while (union_parent_[node] != node) {
+    union_parent_[node] = union_parent_[union_parent_[node]];
+    node = union_parent_[node];
+  }
+  return node;
+}
+
+void DataForest::Finish() {
+  witness_first_.push_back(static_cast<uint32_t>(witness_nodes_.size()));
+  const std::span<const uint32_t> all_nodes(witness_nodes_);
+  for (size_t i = 0; i < witnesses_.size(); ++i) {
+    witnesses_[i].nodes = all_nodes.subspan(
+        witness_first_[i], witness_first_[i + 1] - witness_first_[i]);
   }
 
-  size_t n = forest.refs_.size();
-  DisjointSets sets(n);
-  for (auto [a, b] : edges) {
-    if (!sets.Union(a, b)) forest.is_forest_ = false;
+  size_t n = refs_.size();
+  union_parent_.resize(n);
+  std::iota(union_parent_.begin(), union_parent_.end(), uint32_t{0});
+  for (auto [a, b] : edges_) {
+    uint32_t ra = Find(a);
+    uint32_t rb = Find(b);
+    if (ra == rb) {
+      is_forest_ = false;
+    } else {
+      union_parent_[ra] = rb;
+    }
   }
 
-  // Adjacency, each node's neighbors in edge first-seen order.
-  forest.adjacency_first_.assign(n + 1, 0);
-  for (auto [a, b] : edges) {
-    ++forest.adjacency_first_[a + 1];
-    ++forest.adjacency_first_[b + 1];
+  // Adjacency, each node's neighbors in edge first-seen order;
+  // dense_of_root_ serves as the fill cursor first.
+  adjacency_first_.assign(n + 1, 0);
+  for (auto [a, b] : edges_) {
+    ++adjacency_first_[a + 1];
+    ++adjacency_first_[b + 1];
   }
   for (size_t node = 0; node < n; ++node) {
-    forest.adjacency_first_[node + 1] += forest.adjacency_first_[node];
+    adjacency_first_[node + 1] += adjacency_first_[node];
   }
-  forest.adjacency_.resize(2 * edges.size());
-  {
-    std::vector<uint32_t> cursor(forest.adjacency_first_.begin(),
-                                 forest.adjacency_first_.end() - 1);
-    for (auto [a, b] : edges) {
-      forest.adjacency_[cursor[a]++] = b;
-      forest.adjacency_[cursor[b]++] = a;
-    }
+  adjacency_.resize(2 * edges_.size());
+  dense_of_root_.assign(adjacency_first_.begin(), adjacency_first_.end() - 1);
+  for (auto [a, b] : edges_) {
+    adjacency_[dense_of_root_[a]++] = b;
+    adjacency_[dense_of_root_[b]++] = a;
   }
 
   // Component ids, dense, in order of each component's lowest node.
-  forest.component_.resize(n);
-  std::vector<uint32_t> dense_of_root(n, kNoNode);
+  component_.resize(n);
+  dense_of_root_.assign(n, kNoNode);
   for (size_t node = 0; node < n; ++node) {
-    uint32_t& dense = dense_of_root[sets.Find(node)];
-    if (dense == kNoNode) {
-      dense = static_cast<uint32_t>(forest.component_count_++);
-    }
-    forest.component_[node] = dense;
+    uint32_t& dense = dense_of_root_[Find(static_cast<uint32_t>(node))];
+    if (dense == kNoNode) dense = static_cast<uint32_t>(component_count_++);
+    component_[node] = dense;
   }
-  return forest;
 }
 
 std::optional<size_t> DataForest::NodeOf(const TupleRef& ref) const {
   if (ref.relation + size_t{1} >= row_first_.size()) return std::nullopt;
   size_t first = row_first_[ref.relation];
   if (ref.row >= row_first_[ref.relation + 1] - first) return std::nullopt;
-  uint32_t node = node_of_row_[first + ref.row];
+  uint32_t node = node_of_key_[first + ref.row];
   if (node == kNoNode) return std::nullopt;
   return node;
 }
@@ -259,30 +294,36 @@ void DataForest::RootComponent(size_t root, Rooting* rooting,
 
 DataForest::Rooting DataForest::RootAt(const std::vector<size_t>& roots) const {
   Rooting rooting;
-  rooting.parent.assign(node_count(), -1);
-  rooting.depth.assign(node_count(), 0);
-  rooting.roots.assign(component_count_, node_count());
+  Scratch scratch;
+  RootAt(roots, &rooting, &scratch);
+  return rooting;
+}
+
+void DataForest::RootAt(std::span<const size_t> roots, Rooting* rooting,
+                        Scratch* scratch) const {
+  size_t n = node_count();
+  rooting->parent.assign(n, -1);
+  rooting->depth.assign(n, 0);
+  rooting->roots.assign(component_count_, n);
 
   if (!roots.empty()) {
     assert(roots.size() == component_count_);
     for (size_t c = 0; c < roots.size(); ++c) {
       assert(component_[roots[c]] == c);
-      rooting.roots[c] = roots[c];
+      rooting->roots[c] = roots[c];
     }
   } else {
     // Default: lowest node id per component.
-    for (size_t n = node_count(); n-- > 0;) {
-      rooting.roots[component_[n]] = n;
+    for (size_t node = n; node-- > 0;) {
+      rooting->roots[component_[node]] = node;
     }
   }
 
-  std::vector<uint8_t> visited(node_count(), 0);
-  std::vector<uint32_t> queue;
-  queue.reserve(node_count());
-  for (size_t root : rooting.roots) {
-    RootComponent(root, &rooting, &visited, &queue);
+  scratch->visited.assign(n, 0);
+  scratch->queue.reserve(n);
+  for (size_t root : rooting->roots) {
+    RootComponent(root, rooting, &scratch->visited, &scratch->queue);
   }
-  return rooting;
 }
 
 size_t DataForest::Lca(const Rooting& rooting, size_t a, size_t b) const {
@@ -347,18 +388,27 @@ bool DataForest::WitnessIsVerticalPath(const ForestWitness& witness,
 }
 
 std::optional<std::vector<size_t>> DataForest::FindPivotRoots() const {
-  if (!is_forest_) return std::nullopt;
+  Rooting rooting;
+  Scratch scratch;
+  if (!RootAtPivots(&rooting, &scratch)) return std::nullopt;
+  return std::move(rooting.roots);
+}
+
+bool DataForest::RootAtPivots(Rooting* rooting, Scratch* scratch) const {
+  if (!is_forest_) return false;
   size_t n = node_count();
 
   // Nodes and witnesses grouped by component (CSR), each group in id order.
-  std::vector<uint32_t> node_first(component_count_ + 1, 0);
+  std::vector<uint32_t>& node_first = scratch->node_first;
+  std::vector<uint32_t>& witness_first = scratch->witness_first;
+  node_first.assign(component_count_ + 1, 0);
   for (size_t node = 0; node < n; ++node) ++node_first[component_[node] + 1];
-  std::vector<uint32_t> witness_first(component_count_ + 1, 0);
+  witness_first.assign(component_count_ + 1, 0);
   for (const ForestWitness& w : witnesses_) {
     if (w.nodes.empty()) continue;
     uint32_t c = component_[w.nodes[0]];
     for (uint32_t node : w.nodes) {
-      if (component_[node] != c) return std::nullopt;
+      if (component_[node] != c) return false;
     }
     ++witness_first[c + 1];
   }
@@ -366,49 +416,50 @@ std::optional<std::vector<size_t>> DataForest::FindPivotRoots() const {
     node_first[c + 1] += node_first[c];
     witness_first[c + 1] += witness_first[c];
   }
-  std::vector<uint32_t> nodes_by_component(n);
-  std::vector<uint32_t> witnesses_by_component(witness_first.back());
-  {
-    std::vector<uint32_t> cursor(node_first.begin(), node_first.end() - 1);
-    for (size_t node = 0; node < n; ++node) {
-      nodes_by_component[cursor[component_[node]]++] =
-          static_cast<uint32_t>(node);
-    }
-    cursor.assign(witness_first.begin(), witness_first.end() - 1);
-    for (size_t i = 0; i < witnesses_.size(); ++i) {
-      if (witnesses_[i].nodes.empty()) continue;
-      witnesses_by_component[cursor[component_[witnesses_[i].nodes[0]]]++] =
-          static_cast<uint32_t>(i);
-    }
+  std::vector<uint32_t>& nodes_by_component = scratch->nodes_by_component;
+  std::vector<uint32_t>& witnesses_by_component =
+      scratch->witnesses_by_component;
+  std::vector<uint32_t>& cursor = scratch->cursor;
+  nodes_by_component.resize(n);
+  witnesses_by_component.resize(witness_first.back());
+  cursor.assign(node_first.begin(), node_first.end() - 1);
+  for (size_t node = 0; node < n; ++node) {
+    nodes_by_component[cursor[component_[node]]++] =
+        static_cast<uint32_t>(node);
+  }
+  cursor.assign(witness_first.begin(), witness_first.end() - 1);
+  for (size_t i = 0; i < witnesses_.size(); ++i) {
+    if (witnesses_[i].nodes.empty()) continue;
+    witnesses_by_component[cursor[component_[witnesses_[i].nodes[0]]]++] =
+        static_cast<uint32_t>(i);
   }
 
   // Each candidate roots only its own component; the walk's queue then
-  // holds exactly that component, whose visited marks it clears.
-  Rooting rooting;
-  rooting.parent.assign(n, -1);
-  rooting.depth.assign(n, 0);
-  std::vector<uint8_t> visited(n, 0);
-  std::vector<uint32_t> queue;
-  queue.reserve(n);
-  std::vector<size_t> pivots(component_count_);
+  // holds exactly that component, whose visited marks it clears. The
+  // successful candidate's walk is the component's pivot rooting.
+  rooting->parent.assign(n, -1);
+  rooting->depth.assign(n, 0);
+  rooting->roots.assign(component_count_, n);
+  scratch->visited.assign(n, 0);
+  scratch->queue.reserve(n);
   for (size_t c = 0; c < component_count_; ++c) {
     bool found = false;
     for (uint32_t slot = node_first[c]; !found && slot < node_first[c + 1];
          ++slot) {
       size_t candidate = nodes_by_component[slot];
-      RootComponent(candidate, &rooting, &visited, &queue);
-      for (uint32_t node : queue) visited[node] = 0;
+      RootComponent(candidate, rooting, &scratch->visited, &scratch->queue);
+      for (uint32_t node : scratch->queue) scratch->visited[node] = 0;
       found = std::all_of(
           witnesses_by_component.begin() + witness_first[c],
           witnesses_by_component.begin() + witness_first[c + 1],
           [&](uint32_t i) {
-            return WitnessIsVerticalPath(witnesses_[i], rooting);
+            return WitnessIsVerticalPath(witnesses_[i], *rooting);
           });
-      if (found) pivots[c] = candidate;
+      if (found) rooting->roots[c] = candidate;
     }
-    if (!found) return std::nullopt;
+    if (!found) return false;
   }
-  return pivots;
+  return true;
 }
 
 }  // namespace delprop

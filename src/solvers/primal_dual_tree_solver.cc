@@ -2,58 +2,73 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 
 namespace delprop {
 
-Result<std::vector<size_t>> PrimalDualTreeSolver::SolveOnTree(
-    const TreeStructure& structure, const PrimalDualOptions& options) {
+Status PrimalDualTreeSolver::SolveOnTree(const TreeStructure& structure,
+                                         const PrimalDualOptions& options,
+                                         std::vector<size_t>* deleted) {
   const DataForest& forest = structure.forest;
+  const std::vector<size_t>& depth = structure.rooting.depth;
   size_t n = forest.node_count();
+  const std::vector<TreeStructure::PathInfo>& paths = structure.delta_paths;
 
   auto deletable = [&](size_t node) {
     return options.undeletable.empty() || !options.undeletable[node];
   };
 
-  // Capacity of a node: total weight of preserved paths through it (the dual
-  // constraint (8) budget); zero-weight paths contribute nothing.
-  std::vector<double> capacity(n, 0.0);
+  // Capacity of a node on a ΔV path (no other node's is read): total weight
+  // of preserved paths through it (the dual constraint (8) budget); pruned
+  // paths contribute nothing.
+  capacity_.assign(n, 0.0);
   for (size_t node = 0; node < n; ++node) {
-    for (uint32_t p : structure.preserved_through(node)) {
-      if (!options.zero_weight.empty() && options.zero_weight[p]) continue;
-      capacity[node] += structure.preserved_paths[p].weight;
-    }
+    if (structure.delta_through(node).empty()) continue;
+    structure.ForEachPreservedThrough(node, [&](uint32_t w, double weight) {
+      if (static_cast<double>(forest.witnesses()[w].nodes.size()) >
+          options.prune_wider_than) {
+        return;
+      }
+      capacity_[node] += weight;
+    });
   }
 
-  std::vector<double> used(n, 0.0);
-  std::vector<bool> deleted(n, false);
-  std::vector<size_t> deletion_order;
-  deletion_order.reserve(n);  // each node is deleted at most once
+  used_.assign(n, 0.0);
+  deleted_.assign(n, 0);
+  deletion_order_.clear();
+  deletion_order_.reserve(n);  // each node is deleted at most once
 
   auto path_cut = [&](const TreeStructure::PathInfo& path) {
     return std::any_of(path.nodes.begin(), path.nodes.end(),
-                       [&](size_t node) { return deleted[node]; });
+                       [&](size_t node) { return deleted_[node] != 0; });
   };
 
   // ΔV paths grouped by LCA, processed bottom-up (deepest LCA first), the
-  // GVY order.
-  std::vector<size_t> order(structure.delta_paths.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return structure.rooting.depth[structure.delta_paths[a].lca_node] >
-           structure.rooting.depth[structure.delta_paths[b].lca_node];
-  });
+  // GVY order; paths of equal LCA depth keep their order (a counting sort).
+  size_t max_depth = 0;
+  for (const TreeStructure::PathInfo& path : paths) {
+    max_depth = std::max(max_depth, depth[path.lca_node]);
+  }
+  depth_first_.assign(max_depth + 2, 0);
+  for (const TreeStructure::PathInfo& path : paths) {
+    ++depth_first_[max_depth - depth[path.lca_node] + 1];
+  }
+  for (size_t d = 0; d <= max_depth; ++d) depth_first_[d + 1] += depth_first_[d];
+  order_.resize(paths.size());
+  for (size_t p = 0; p < paths.size(); ++p) {
+    order_[depth_first_[max_depth - depth[paths[p].lca_node]]++] =
+        static_cast<uint32_t>(p);
+  }
 
   constexpr double kEps = 1e-9;
-  for (size_t index : order) {
-    const TreeStructure::PathInfo& path = structure.delta_paths[index];
+  for (uint32_t index : order_) {
+    const TreeStructure::PathInfo& path = paths[index];
     if (path_cut(path)) continue;
     // Raise this path's dual as much as possible: δ = min slack over its
     // deletable nodes.
     double delta = std::numeric_limits<double>::infinity();
     for (size_t node : path.nodes) {
       if (!deletable(node)) continue;
-      delta = std::min(delta, capacity[node] - used[node]);
+      delta = std::min(delta, capacity_[node] - used_[node]);
     }
     if (delta == std::numeric_limits<double>::infinity()) {
       return Status::Infeasible(
@@ -61,66 +76,64 @@ Result<std::vector<size_t>> PrimalDualTreeSolver::SolveOnTree(
     }
     for (size_t node : path.nodes) {
       if (!deletable(node)) continue;
-      used[node] += delta;
-      if (!deleted[node] && capacity[node] - used[node] <= kEps) {
-        deleted[node] = true;
-        deletion_order.push_back(node);
+      used_[node] += delta;
+      if (!deleted_[node] && capacity_[node] - used_[node] <= kEps) {
+        deleted_[node] = 1;
+        deletion_order_.push_back(node);
       }
     }
   }
 
   // Reverse-delete: drop deletions (newest first) that are not needed to
   // keep every ΔV path cut.
-  if (options.skip_reverse_delete) {
-    std::vector<size_t> all;
-    all.reserve(deletion_order.size());
-    for (size_t node = 0; node < n; ++node) {
-      if (deleted[node]) all.push_back(node);
-    }
-    return all;
-  }
-  std::vector<uint32_t> cut_count(structure.delta_paths.size(), 0);
-  for (size_t p = 0; p < structure.delta_paths.size(); ++p) {
-    for (size_t node : structure.delta_paths[p].nodes) {
-      if (deleted[node]) ++cut_count[p];
-    }
-  }
-  for (auto it = deletion_order.rbegin(); it != deletion_order.rend(); ++it) {
-    size_t node = *it;
-    bool removable = true;
-    for (uint32_t p : structure.delta_through(node)) {
-      if (cut_count[p] <= 1) {
-        removable = false;
-        break;
+  if (!options.skip_reverse_delete) {
+    cut_count_.assign(paths.size(), 0);
+    for (size_t p = 0; p < paths.size(); ++p) {
+      for (size_t node : paths[p].nodes) {
+        if (deleted_[node]) ++cut_count_[p];
       }
     }
-    if (removable) {
-      deleted[node] = false;
-      for (uint32_t p : structure.delta_through(node)) --cut_count[p];
+    for (auto it = deletion_order_.rbegin(); it != deletion_order_.rend();
+         ++it) {
+      size_t node = *it;
+      bool removable = true;
+      for (uint32_t p : structure.delta_through(node)) {
+        if (cut_count_[p] <= 1) {
+          removable = false;
+          break;
+        }
+      }
+      if (removable) {
+        deleted_[node] = 0;
+        for (uint32_t p : structure.delta_through(node)) --cut_count_[p];
+      }
     }
   }
 
-  std::vector<size_t> result;
-  result.reserve(deletion_order.size());
+  deleted->clear();
+  deleted->reserve(deletion_order_.size());
   for (size_t node = 0; node < n; ++node) {
-    if (deleted[node]) result.push_back(node);
+    if (deleted_[node]) deleted->push_back(node);
   }
-  return result;
+  return Status::Ok();
 }
 
+// delprop-hot
 Result<VseSolution> PrimalDualTreeSolver::Solve(const VseInstance& instance) {
   if (instance.TotalDeletionTuples() == 0) {
     return MakeSolution(instance, DeletionSet(), name());
   }
-  Result<TreeStructure> structure =
-      BuildTreeStructure(instance, TreeMode::kDeltaPaths);
-  if (!structure.ok()) return structure.status();
-  Result<std::vector<size_t>> nodes = SolveOnTree(*structure, {});
-  if (!nodes.ok()) return nodes.status();
-  DeletionSet deletion;
-  for (size_t node : *nodes) {
-    deletion.Insert(structure->forest.node_ref(node));
+  std::shared_ptr<const CompiledInstance> plan = instance.compiled();
+  if (Status s = structure_.Build(instance, *plan, TreeMode::kDeltaPaths);
+      !s.ok()) {
+    return s;
   }
+  if (Status s = SolveOnTree(structure_, PrimalDualOptions(), &nodes_);
+      !s.ok()) {
+    return s;
+  }
+  DeletionSet deletion;
+  for (size_t node : nodes_) deletion.Insert(structure_.forest.node_ref(node));
   return MakeSolution(instance, std::move(deletion), name());
 }
 

@@ -1,6 +1,8 @@
 #ifndef DELPROP_SOLVERS_PRIMAL_DUAL_TREE_SOLVER_H_
 #define DELPROP_SOLVERS_PRIMAL_DUAL_TREE_SOLVER_H_
 
+#include <limits>
+
 #include "dp/solver.h"
 #include "solvers/tree_common.h"
 
@@ -10,11 +12,12 @@ namespace delprop {
 /// LowDegTreeVSE (Algorithm 2) can reuse it.
 struct PrimalDualOptions {
   /// Forest nodes that may not be deleted (their capacity is infinite).
-  /// Indexed by forest node id; empty means all deletable.
+  /// Indexed by forest node id and read only for nodes on ΔV paths; empty
+  /// means all deletable.
   std::vector<bool> undeletable;
-  /// Preserved paths whose weight the LP treats as zero (Algorithm 2's prune
-  /// of view tuples wider than sqrt(‖V‖)); indexed by preserved-path id.
-  std::vector<bool> zero_weight;
+  /// Preserved paths with more nodes than this weigh zero in the LP
+  /// (Algorithm 2's prune of view tuples wider than sqrt(‖V‖)).
+  double prune_wider_than = std::numeric_limits<double>::infinity();
   /// Ablation switch: skip the final reverse-delete pass (Algorithm 1,
   /// lines 7-10). Solutions stay feasible but lose minimality.
   bool skip_reverse_delete = false;
@@ -24,16 +27,33 @@ struct PrimalDualOptions {
 /// l-approximation for the forest case (Theorem 3). ΔV witnesses are paths
 /// to cut; each path's dual is raised at its LCA in bottom-up order until a
 /// tuple on it saturates its capacity Σ_{s∈R, t∈s} w_s; saturated tuples are
-/// deleted, and a reverse-delete pass restores minimality.
+/// deleted, and a reverse-delete pass restores minimality. The solver owns
+/// its tree structure and scratch and rebuilds them in place on every call.
 class PrimalDualTreeSolver : public VseSolver {
  public:
   std::string name() const override { return "primal-dual"; }
   Result<VseSolution> Solve(const VseInstance& instance) override;
 
-  /// The core on a prebuilt tree structure; returns the set of deleted
-  /// forest nodes or Infeasible if some ΔV path has no deletable node.
-  static Result<std::vector<size_t>> SolveOnTree(
-      const TreeStructure& structure, const PrimalDualOptions& options);
+  /// The core on a built tree structure: sets `deleted` to the deleted
+  /// forest nodes, ascending, or returns Infeasible if some ΔV path has no
+  /// deletable node. Runs on this object's scratch.
+  Status SolveOnTree(const TreeStructure& structure,
+                     const PrimalDualOptions& options,
+                     std::vector<size_t>* deleted);
+
+ private:
+  TreeStructure structure_;
+  std::vector<size_t> nodes_;
+  // SolveOnTree's scratch: per node capacity, used budget and deleted
+  // mark; the deletions in order; the ΔV paths bucketed by LCA depth; and
+  // per ΔV path its number of deleted nodes.
+  std::vector<double> capacity_;
+  std::vector<double> used_;
+  std::vector<uint8_t> deleted_;
+  std::vector<size_t> deletion_order_;
+  std::vector<uint32_t> depth_first_;
+  std::vector<uint32_t> order_;
+  std::vector<uint32_t> cut_count_;
 };
 
 }  // namespace delprop

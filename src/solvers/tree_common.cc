@@ -2,91 +2,161 @@
 
 #include <algorithm>
 
-#include "plan/compiled_instance.h"
-
 namespace delprop {
 
-// Per-solve materialization: builds the data forest, rooting, and path
-// tables once before a tree solver's DP/primal-dual loops run over them.
+namespace {
+
+constexpr uint32_t kNpos = CompiledInstance::kNpos;
+
+// The refusal of a ΔV witness that is not a path, off the solvers' hot
+// path: it renders the view tuple into its message.
 // delprop-hot-stop
-Result<TreeStructure> BuildTreeStructure(const VseInstance& instance,
-                                         TreeMode mode) {
+Status NotAPath(const VseInstance& instance, const ViewTupleId& id) {
+  return Status::FailedPrecondition("witness of " +
+                                    instance.RenderViewTuple(id) +
+                                    " is not a path in the data dual graph");
+}
+
+}  // namespace
+
+void TreeStructure::CollectTouched(const CompiledInstance& plan) {
+  // Clear the previous build's marks first: its ids index the arrays as
+  // they were sized then, whatever the core is now.
+  for (uint32_t w : witnesses_) forest_witness_[w] = kNpos;
+  for (uint32_t b : bases_) base_seen_[b] = 0;
+  witnesses_.clear();
+  bases_.clear();
+  forest_witness_.resize(plan.witness_count(), kNpos);
+  base_seen_.resize(plan.base_count(), 0);
+
+  // Breadth-first over the base-witness incidence from ΔV's witnesses: a
+  // witness reaches its members, a base every witness of its occurrence
+  // row. witnesses_ doubles as the queue; a visited witness is marked 0
+  // until the numbering below.
+  auto visit = [&](uint32_t w) {
+    if (forest_witness_[w] != kNpos) return;
+    forest_witness_[w] = 0;
+    // delprop-lint: hot-path-allocation-ok grows to the largest request, then keeps its capacity
+    witnesses_.push_back(w);
+  };
+  for (uint32_t dense : plan.deletion_dense()) {
+    for (uint32_t w = plan.tuple_witness_begin(dense);
+         w < plan.tuple_witness_end(dense); ++w) {
+      visit(w);
+    }
+  }
+  for (size_t head = 0; head < witnesses_.size(); ++head) {
+    uint32_t w = witnesses_[head];
+    for (uint32_t slot = plan.member_begin(w); slot < plan.member_end(w);
+         ++slot) {
+      uint32_t b = plan.member_base(slot);
+      if (base_seen_[b]) continue;
+      base_seen_[b] = 1;
+      // delprop-lint: hot-path-allocation-ok grows to the largest request, then keeps its capacity
+      bases_.push_back(b);
+      for (uint32_t occ = plan.occ_begin(b); occ < plan.occ_end(b); ++occ) {
+        visit(plan.occ_witness(occ));
+      }
+    }
+  }
+
+  // Ascending witness id is the (view, tuple, witness) walk order. When the
+  // touched witnesses are at least an eighth of all, reading the marks in id
+  // order is cheaper than sorting, and still costs O(touched).
+  if (witnesses_.size() >= plan.witness_count() / 8) {
+    witnesses_.clear();
+    for (uint32_t w = 0; w < plan.witness_count(); ++w) {
+      // delprop-lint: hot-path-allocation-ok refills the list it just cleared
+      if (forest_witness_[w] != kNpos) witnesses_.push_back(w);
+    }
+  } else {
+    std::sort(witnesses_.begin(), witnesses_.end());
+  }
+  for (size_t i = 0; i < witnesses_.size(); ++i) {
+    forest_witness_[witnesses_[i]] = static_cast<uint32_t>(i);
+  }
+}
+
+void TreeStructure::BuildForest(const VseInstance& instance,
+                                const CompiledInstance& plan) {
+  plan_ = &plan;
+  CollectTouched(plan);
+
+  // The forest over the touched witnesses, in witness order, each member
+  // keyed by its core base id.
+  joined_.clear();
+  joined_first_.clear();
+  joined_first_.reserve(instance.view_count() + 1);
+  for (size_t v = 0; v < instance.view_count(); ++v) {
+    joined_first_.push_back(static_cast<uint32_t>(joined_.size()));
+    DataForest::AppendJoinedAtoms(instance.view(v).query(), &joined_);
+  }
+  joined_first_.push_back(static_cast<uint32_t>(joined_.size()));
+  const std::vector<uint32_t>& member_base = plan.core()->witness_member_base;
+  forest.Reset(plan.base_count(), bases_.size());
+  for (uint32_t w : witnesses_) {
+    uint32_t dense = plan.witness_owner(w);
+    ViewTupleId id = plan.IdOf(dense);
+    uint32_t begin = plan.member_begin(w);
+    uint32_t end = plan.member_end(w);
+    member_refs_.clear();
+    member_refs_.reserve(end - begin);
+    for (uint32_t slot = begin; slot < end; ++slot) {
+      member_refs_.push_back(plan.base_ref(member_base[slot]));
+    }
+    std::span<const JoinedAtoms> joined(
+        joined_.data() + joined_first_[id.view],
+        joined_first_[id.view + 1] - joined_first_[id.view]);
+    forest.AddWitness(id.view, id.tuple, w - plan.tuple_witness_begin(dense),
+                      std::span<const uint32_t>(member_base.data() + begin,
+                                                end - begin),
+                      member_refs_, joined);
+  }
+  forest.Finish();
+}
+
+Status TreeStructure::Build(const VseInstance& instance,
+                            const CompiledInstance& plan, TreeMode mode) {
   if (!instance.all_unique_witness()) {
     return Status::FailedPrecondition(
         "tree algorithms require unique-witness (key-preserving) views");
   }
-  TreeStructure structure(DataForest::Build(instance.ViewPointers()));
-  const DataForest& forest = structure.forest;
+  BuildForest(instance, plan);
   if (!forest.is_forest()) {
     return Status::FailedPrecondition(
         "data dual graph has a cycle: not a tree case");
   }
 
   if (mode == TreeMode::kVerticalAll) {
-    // FindPivotRoots checks every witness vertical under the pivot rooting,
-    // so no witness needs checking again below.
-    std::optional<std::vector<size_t>> pivots = forest.FindPivotRoots();
-    if (!pivots.has_value()) {
+    // The pivot search checks every witness vertical under the pivot
+    // rooting, so no witness needs checking again below.
+    if (!forest.RootAtPivots(&rooting, &scratch_)) {
       return Status::FailedPrecondition(
           "no pivot rooting exists: Algorithm 4 does not apply");
     }
-    structure.rooting = forest.RootAt(*pivots);
   } else {
-    structure.rooting = forest.RootAt();
+    forest.RootAt({}, &rooting, &scratch_);
   }
-  const std::vector<size_t>& depth = structure.rooting.depth;
+  const std::vector<size_t>& depth = rooting.depth;
 
-  // Count pass: classify each witness (one per view tuple) and size the
-  // per-node through rows.
-  std::shared_ptr<const CompiledInstance> plan = instance.compiled();
-  const std::vector<ForestWitness>& witnesses = forest.witnesses();
+  // Path records for the ΔV witnesses, in witness order (ΔV is ascending
+  // dense id), and the count of each node's through row.
   size_t n = forest.node_count();
-  structure.delta_through_first.assign(n + 1, 0);
-  structure.preserved_through_first.assign(n + 1, 0);
-  size_t delta_count = 0;
-  for (const ForestWitness& witness : witnesses) {
+  delta_paths.clear();
+  delta_paths.reserve(plan.deletion_dense().size());
+  delta_through_first.assign(n + 1, 0);
+  for (uint32_t dense : plan.deletion_dense()) {
+    const ForestWitness& witness =
+        forest.witnesses()[forest_witness_[plan.tuple_witness_begin(dense)]];
     ViewTupleId id{witness.view_index, witness.tuple_index};
-    bool is_deletion = plan->is_deletion(plan->DenseOf(id));
-    if (is_deletion && mode == TreeMode::kDeltaPaths &&
-        !forest.WitnessIsPath(witness, structure.rooting)) {
-      return Status::FailedPrecondition(
-          "witness of " + instance.RenderViewTuple(id) +
-          " is not a path in the data dual graph");
+    if (mode == TreeMode::kDeltaPaths &&
+        !forest.WitnessIsPath(witness, rooting)) {
+      return NotAPath(instance, id);
     }
-    delta_count += is_deletion;
-    std::vector<uint32_t>& first = is_deletion
-                                       ? structure.delta_through_first
-                                       : structure.preserved_through_first;
-    for (uint32_t node : witness.nodes) ++first[node + 1];
-  }
-  for (size_t node = 0; node < n; ++node) {
-    structure.delta_through_first[node + 1] +=
-        structure.delta_through_first[node];
-    structure.preserved_through_first[node + 1] +=
-        structure.preserved_through_first[node];
-  }
-
-  // Fill pass: path records in witness order, each appended to the through
-  // rows of its nodes.
-  structure.delta_paths.reserve(delta_count);
-  structure.preserved_paths.reserve(witnesses.size() - delta_count);
-  structure.delta_through_paths.resize(structure.delta_through_first[n]);
-  structure.preserved_through_paths.resize(
-      structure.preserved_through_first[n]);
-  std::vector<uint32_t> delta_cursor(structure.delta_through_first.begin(),
-                                     structure.delta_through_first.end() - 1);
-  std::vector<uint32_t> preserved_cursor(
-      structure.preserved_through_first.begin(),
-      structure.preserved_through_first.end() - 1);
-  for (const ForestWitness& witness : witnesses) {
-    ViewTupleId id{witness.view_index, witness.tuple_index};
-    uint32_t dense = plan->DenseOf(id);
-    bool is_deletion = plan->is_deletion(dense);
-
-    TreeStructure::PathInfo info;
+    PathInfo info;
     info.id = id;
     info.nodes = witness.nodes;
-    info.weight = plan->weight(dense);
+    info.weight = plan.weight(dense);
     info.top_depth = depth[info.nodes[0]];
     info.bottom_node = info.nodes[0];
     info.lca_node = info.nodes[0];
@@ -96,21 +166,23 @@ Result<TreeStructure> BuildTreeStructure(const VseInstance& instance,
         info.lca_node = node;
       }
       if (depth[node] > depth[info.bottom_node]) info.bottom_node = node;
+      ++delta_through_first[node + 1];
     }
-
-    auto& list = is_deletion ? structure.delta_paths
-                             : structure.preserved_paths;
-    std::vector<uint32_t>& rows = is_deletion
-                                      ? structure.delta_through_paths
-                                      : structure.preserved_through_paths;
-    std::vector<uint32_t>& cursor = is_deletion ? delta_cursor
-                                                : preserved_cursor;
-    for (uint32_t node : info.nodes) {
-      rows[cursor[node]++] = static_cast<uint32_t>(list.size());
-    }
-    list.push_back(info);
+    delta_paths.push_back(info);
   }
-  return structure;
+  for (size_t node = 0; node < n; ++node) {
+    delta_through_first[node + 1] += delta_through_first[node];
+  }
+
+  // Each path appended to the through rows of its nodes, in path order.
+  delta_through_paths.resize(delta_through_first[n]);
+  cursor_.assign(delta_through_first.begin(), delta_through_first.end() - 1);
+  for (size_t p = 0; p < delta_paths.size(); ++p) {
+    for (uint32_t node : delta_paths[p].nodes) {
+      delta_through_paths[cursor_[node]++] = static_cast<uint32_t>(p);
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace delprop

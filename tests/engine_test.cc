@@ -1,8 +1,8 @@
 // BatchSolveEngine and ScratchPool: batched results must be byte-identical
 // to direct per-request solves at any thread count and cache setting, and
 // the steady-state hot path must run entirely on reused storage (asserted
-// through the engine/pool/plan counters, the closest a test can get to
-// "allocation-free" without an allocator hook).
+// here through the engine/pool/plan counters; allocation_contract_test
+// counts the allocations themselves through a global operator new hook).
 #include <gtest/gtest.h>
 
 #include <iomanip>
