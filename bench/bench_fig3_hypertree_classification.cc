@@ -1,8 +1,13 @@
 // Regenerates Fig. 3: the dual hypergraphs of the paper's three query sets
 // and their hypertree classification, plus a sweep classifying random query
 // sets (how often the forest-case precondition of Algorithms 1-4 holds) with
-// GYO / nest-point elimination timings.
+// GYO / nest-point elimination timings. It exits 1, naming the row with
+// `FAIL <row>` on stderr, when a query set's hypertree verdict disagrees
+// with the paper's or the forest-case rate rises anywhere down the sweep
+// (each step adds relations or queries). The classification is the tree
+// solvers' query-level precondition.
 #include <cstdio>
+#include <cstring>
 
 #include "bench_util.h"
 #include "common/rng.h"
@@ -15,6 +20,7 @@ namespace delprop {
 namespace {
 
 int Run() {
+  int status = 0;
   bench::Header("Fig. 3 — the paper's five queries over T1..T4");
   Database db;
   for (const char* name : {"T1", "T2", "T3", "T4"}) {
@@ -47,6 +53,12 @@ int Run() {
     DualGraphAnalysis analysis = AnalyzeDualGraph(db.schema(), qs);
     table.AddRow({c.label, analysis.alpha_acyclic ? "yes" : "no",
                   analysis.forest_case ? "yes" : "no", c.paper});
+    bool paper_hypertree = std::strcmp(c.paper, "hypertree") == 0;
+    if (analysis.forest_case != paper_hypertree) {
+      std::fprintf(stderr, "FAIL %s: hypertree %s, paper says %s\n", c.label,
+                   analysis.forest_case ? "yes" : "no", c.paper);
+      status = 1;
+    }
   }
   table.Print();
 
@@ -55,6 +67,8 @@ int Run() {
     Rng rng(33);
     TextTable sweep({"#relations", "#queries", "forest-case rate",
                      "avg classify ms"});
+    size_t previous_forest = 0;
+    bool first = true;
     for (auto [relations, nqueries] :
          {std::pair<size_t, size_t>{3, 2}, {3, 4}, {4, 4}, {5, 6}, {6, 8}}) {
       size_t forest = 0;
@@ -78,13 +92,24 @@ int Run() {
       sweep.AddRow({std::to_string(relations), std::to_string(nqueries),
                     FmtDouble(static_cast<double>(forest) / kTrials, 2),
                     FmtDouble(total_ms / kTrials, 3)});
+      // Every row has the same trial count, so the counts compare exactly.
+      if (!first && forest > previous_forest) {
+        std::fprintf(stderr,
+                     "FAIL relations=%zu queries=%zu: forest-case rate "
+                     "%zu/%d rose from %zu/%d\n",
+                     relations, nqueries, forest, kTrials, previous_forest,
+                     kTrials);
+        status = 1;
+      }
+      previous_forest = forest;
+      first = false;
     }
     sweep.Print();
     std::printf("\nShape check: Fig. 3's classification matches "
                 "(Q1 hides the triangle, Q2/Q3 are hypertrees); denser "
                 "query sets are less often forest cases.\n");
   }
-  return 0;
+  return status;
 }
 
 }  // namespace

@@ -26,12 +26,15 @@ for t in build/tests/*_test; do
     exit 1
   }
 done
-# Every paper bench in turn, output appended to bench_output.txt. sh has no
-# pipefail, so each bench's status is checked here, not through tee: the
-# loop stops at the first bench that exits nonzero (a failed claim check).
+# Every paper bench in turn, output appended to bench_output.txt. The
+# benches are the ones this configure defines (bench/CMakeLists.txt lists
+# them in build/bench/configured_benches.txt), so an executable of a deleted
+# target left in an existing build tree is not run. sh has no pipefail, so
+# each bench's status is checked here, not through tee: the loop stops at
+# the first bench that exits nonzero (a failed claim check).
 : > bench_output.txt
-for b in build/bench/bench_*; do
-  [ -x "$b" ] && [ -f "$b" ] || continue
+for name in $(cat build/bench/configured_benches.txt); do
+  b="build/bench/$name"
   status=0
   "$b" > bench_last_output.txt 2>&1 || status=$?
   tee -a bench_output.txt < bench_last_output.txt
