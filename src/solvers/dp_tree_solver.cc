@@ -6,19 +6,29 @@ namespace delprop {
 
 void DpTreeSolver::SuffixByTopDepth::Finish() {
   size_t n = first.size() - 1;
-  top_depths.resize(entries.size());
-  suffix_weight.resize(entries.size() + n);
   for (size_t node = 0; node < n; ++node) {
     size_t begin = first[node];
     size_t end = first[node + 1];
     // Rows arrive in witness order, which is often sorted already.
-    if (!std::is_sorted(entries.begin() + begin, entries.begin() + end)) {
-      std::sort(entries.begin() + begin, entries.begin() + end);
+    bool sorted = true;
+    for (size_t i = begin + 1; sorted && i < end; ++i) {
+      sorted = std::make_pair(top_depths[i - 1], suffix_weight[i - 1 + node]) <=
+               std::make_pair(top_depths[i], suffix_weight[i + node]);
     }
-    suffix_weight[end + node] = 0.0;
+    if (!sorted) {
+      sort_scratch.clear();
+      for (size_t i = begin; i < end; ++i) {
+        // delprop-lint: hot-path-allocation-ok grows to the largest row, then keeps its capacity
+        sort_scratch.emplace_back(top_depths[i], suffix_weight[i + node]);
+      }
+      std::sort(sort_scratch.begin(), sort_scratch.end());
+      for (size_t i = begin; i < end; ++i) {
+        top_depths[i] = sort_scratch[i - begin].first;
+        suffix_weight[i + node] = sort_scratch[i - begin].second;
+      }
+    }
     for (size_t i = end; i-- > begin;) {
-      top_depths[i] = entries[i].first;
-      suffix_weight[i + node] = suffix_weight[i + 1 + node] + entries[i].second;
+      suffix_weight[i + node] += suffix_weight[i + 1 + node];
     }
   }
 }
@@ -29,7 +39,7 @@ double DpTreeSolver::SuffixByTopDepth::WeightAbove(size_t node,
   if (a_depth >= 0) {
     i = std::upper_bound(top_depths.begin() + first[node],
                          top_depths.begin() + first[node + 1],
-                         static_cast<size_t>(a_depth)) -
+                         static_cast<uint32_t>(a_depth)) -
         top_depths.begin();
   }
   return suffix_weight[i + node];
@@ -39,7 +49,8 @@ bool DpTreeSolver::SuffixByTopDepth::AnyAbove(size_t node,
                                               long a_depth) const {
   size_t end = first[node + 1];
   return end > first[node] &&
-         (a_depth < 0 || top_depths[end - 1] > static_cast<size_t>(a_depth));
+         (a_depth < 0 ||
+          top_depths[end - 1] > static_cast<uint32_t>(a_depth));
 }
 
 // delprop-hot
@@ -66,18 +77,22 @@ Result<VseSolution> DpTreeSolver::Solve(const VseInstance& instance) {
   for (size_t i = 0; i < witnesses.size(); ++i) {
     size_t top = depth[witnesses[i].nodes[0]];
     for (uint32_t node : witnesses[i].nodes) top = std::min(top, depth[node]);
-    witness_top_[i] = top;
+    witness_top_[i] = static_cast<uint32_t>(top);
     incidence += witnesses[i].nodes.size();
   }
   charge_.first.resize(n + 1);
   charge_.first[0] = 0;
-  charge_.entries.clear();
-  charge_.entries.reserve(incidence);
+  charge_.top_depths.clear();
+  charge_.suffix_weight.clear();
+  charge_.top_depths.reserve(incidence);
+  charge_.suffix_weight.reserve(incidence + n);
   for (size_t node = 0; node < n; ++node) {
     structure_.ForEachPreservedThrough(node, [&](uint32_t w, double weight) {
-      charge_.entries.emplace_back(witness_top_[w], weight);
+      charge_.top_depths.push_back(witness_top_[w]);
+      charge_.suffix_weight.push_back(weight);
     });
-    charge_.first[node + 1] = static_cast<uint32_t>(charge_.entries.size());
+    charge_.suffix_weight.push_back(0.0);
+    charge_.first[node + 1] = static_cast<uint32_t>(charge_.top_depths.size());
   }
   charge_.Finish();
   // penalty(t, a_depth): ΔV paths with bottom t that are NOT yet killed when
@@ -90,11 +105,13 @@ Result<VseSolution> DpTreeSolver::Solve(const VseInstance& instance) {
   for (size_t node = 0; node < n; ++node) {
     delta_bottom_.first[node + 1] += delta_bottom_.first[node];
   }
-  delta_bottom_.entries.resize(delta_bottom_.first[n]);
+  delta_bottom_.top_depths.resize(delta_bottom_.first[n]);
+  delta_bottom_.suffix_weight.assign(delta_bottom_.first[n] + n, 0.0);
   cursor_.assign(delta_bottom_.first.begin(), delta_bottom_.first.end() - 1);
   for (const auto& path : structure_.delta_paths) {
-    delta_bottom_.entries[cursor_[path.bottom_node]++] = {path.top_depth,
-                                                          path.weight};
+    uint32_t i = cursor_[path.bottom_node]++;
+    delta_bottom_.top_depths[i] = static_cast<uint32_t>(path.top_depth);
+    delta_bottom_.suffix_weight[i + path.bottom_node] = path.weight;
   }
   delta_bottom_.Finish();
 

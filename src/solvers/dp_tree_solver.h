@@ -38,13 +38,14 @@ class DpTreeSolver : public VseSolver {
   /// n], the last of them 0.
   struct SuffixByTopDepth {
     std::vector<uint32_t> first;  // size node count + 1
-    /// Each node's (top_depth, weight) pairs, in any order, at the
-    /// positions `first` gives; Finish sorts them.
-    std::vector<std::pair<size_t, double>> entries;
-    std::vector<size_t> top_depths;
+    /// Entry i's top depth; its weight is filled in at suffix_weight[i +
+    /// node], and each node's slot past its last entry holds 0.
+    std::vector<uint32_t> top_depths;
     std::vector<double> suffix_weight;
+    std::vector<std::pair<uint32_t, double>> sort_scratch;
 
-    /// Sorts each node's entries and derives the suffix sums.
+    /// Sorts each node's entries by (top_depth, weight) and turns the
+    /// weights into suffix sums, in place.
     void Finish();
     /// Σ weight over node's entries with top_depth > a_depth (a_depth == -1
     /// ⇒ all).
@@ -57,7 +58,7 @@ class DpTreeSolver : public VseSolver {
   Objective objective_;
   TreeStructure structure_;
   // Top depth of every forest witness.
-  std::vector<size_t> witness_top_;
+  std::vector<uint32_t> witness_top_;
   // charge: preserved paths through each node; delta_bottom: ΔV paths by
   // bottom node.
   SuffixByTopDepth charge_;
