@@ -148,13 +148,12 @@ Status TreeStructure::Build(const VseInstance& instance,
   for (uint32_t dense : plan.deletion_dense()) {
     const ForestWitness& witness =
         forest.witnesses()[forest_witness_[plan.tuple_witness_begin(dense)]];
-    ViewTupleId id{witness.view_index, witness.tuple_index};
     if (mode == TreeMode::kDeltaPaths &&
         !forest.WitnessIsPath(witness, rooting)) {
-      return NotAPath(instance, id);
+      return NotAPath(instance,
+                      ViewTupleId{witness.view_index, witness.tuple_index});
     }
     PathInfo info;
-    info.id = id;
     info.nodes = witness.nodes;
     info.weight = plan.weight(dense);
     info.top_depth = depth[info.nodes[0]];

@@ -44,7 +44,6 @@ enum class TreeMode {
 class TreeStructure {
  public:
   struct PathInfo {
-    ViewTupleId id;
     /// The witness's nodes, ascending (a view into the forest).
     std::span<const uint32_t> nodes;
     double weight = 1.0;
