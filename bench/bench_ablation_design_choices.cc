@@ -108,10 +108,12 @@ int AblateReverseDelete() {
     }
     PrimalDualOptions with, without;
     without.skip_reverse_delete = true;
-    PrimalDualTreeSolver solver;
+    PrimalDualScratch scratch;
     std::vector<size_t> a, b;
-    if (!solver.SolveOnTree(structure, with, &a).ok() ||
-        !solver.SolveOnTree(structure, without, &b).ok()) {
+    if (!PrimalDualTreeSolver::SolveOnTree(structure, with, &scratch, &a)
+             .ok() ||
+        !PrimalDualTreeSolver::SolveOnTree(structure, without, &scratch, &b)
+             .ok()) {
       return 1;
     }
     auto cost_of = [&](const std::vector<size_t>& nodes) {

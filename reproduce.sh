@@ -26,15 +26,15 @@ for t in build/tests/*_test; do
     exit 1
   }
 done
-# Every paper bench in turn, output appended to bench_output.txt. The
-# benches are the ones this configure defines (bench/CMakeLists.txt lists
-# them in build/bench/configured_benches.txt), so an executable of a deleted
-# target left in an existing build tree is not run. sh has no pipefail, so
+# Every paper bench in turn, output appended to bench_output.txt. Each
+# bench/bench_*.cc is one target of the same name, so looping over the
+# sources runs exactly the configured benches, never a stale executable that
+# a deleted target left in an existing build tree. sh has no pipefail, so
 # each bench's status is checked here, not through tee: the loop stops at
 # the first bench that exits nonzero (a failed claim check).
 : > bench_output.txt
-for name in $(cat build/bench/configured_benches.txt); do
-  b="build/bench/$name"
+for src in bench/bench_*.cc; do
+  b="build/bench/$(basename "$src" .cc)"
   status=0
   "$b" > bench_last_output.txt 2>&1 || status=$?
   tee -a bench_output.txt < bench_last_output.txt

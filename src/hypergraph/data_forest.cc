@@ -160,8 +160,6 @@ void DataForest::Reset(size_t key_count, size_t node_bound) {
   edges_.clear();
   refs_.reserve(node_bound);
   keys_.reserve(node_bound);
-  recent_peer_.clear();
-  recent_peer_.reserve(node_bound);
   ClearEdgeSet(node_bound, &edge_slots_);
   component_count_ = 0;
   is_forest_ = true;
@@ -182,19 +180,15 @@ void DataForest::AddWitness(size_t view_index, size_t tuple_index,
       node = static_cast<uint32_t>(refs_.size());
       refs_.push_back(refs[i]);
       keys_.push_back(keys[i]);
-      recent_peer_.push_back(kNoNode);
     }
     atom_nodes_.push_back(node);
   }
   for (auto [i, j] : joined) {
     uint32_t a = atom_nodes_[i];
     uint32_t b = atom_nodes_[j];
-    // Witnesses repeat edges; each node's last edge catches most repeats
-    // before the edge set is probed.
-    if (a == b || recent_peer_[a] == b || recent_peer_[b] == a) continue;
-    if (InsertEdge(a, b, edges_, &edge_slots_)) edges_.emplace_back(a, b);
-    recent_peer_[a] = b;
-    recent_peer_[b] = a;
+    if (a != b && InsertEdge(a, b, edges_, &edge_slots_)) {
+      edges_.emplace_back(a, b);
+    }
   }
   witness_first_.push_back(static_cast<uint32_t>(witness_nodes_.size()));
   witness_nodes_.insert(witness_nodes_.end(), atom_nodes_.begin(),
@@ -290,13 +284,6 @@ void DataForest::RootComponent(size_t root, Rooting* rooting,
       queue->push_back(next);
     }
   }
-}
-
-DataForest::Rooting DataForest::RootAt(const std::vector<size_t>& roots) const {
-  Rooting rooting;
-  Scratch scratch;
-  RootAt(roots, &rooting, &scratch);
-  return rooting;
 }
 
 void DataForest::RootAt(std::span<const size_t> roots, Rooting* rooting,

@@ -123,10 +123,9 @@ class DataForest {
   size_t component_count() const { return component_count_; }
   const std::vector<ForestWitness>& witnesses() const { return witnesses_; }
 
-  /// Roots every component at the given node (one per component id); if
-  /// `roots` is empty, the lowest node id of each component is used.
-  Rooting RootAt(const std::vector<size_t>& roots = {}) const;
-  /// The same, into `rooting`'s storage.
+  /// Roots every component at the given node (one per component id), into
+  /// `rooting`'s storage; if `roots` is empty, the lowest node id of each
+  /// component is used.
   void RootAt(std::span<const size_t> roots, Rooting* rooting,
               Scratch* scratch) const;
 
@@ -149,7 +148,7 @@ class DataForest {
   /// component of c nodes costs O(c) per candidate tried.
   std::optional<std::vector<size_t>> FindPivotRoots() const;
   /// The same search, in place: on success `rooting` is the pivot rooting
-  /// (what RootAt(pivots) returns) and the function returns true.
+  /// (what RootAt gives for the pivots) and the function returns true.
   bool RootAtPivots(Rooting* rooting, Scratch* scratch) const;
 
  private:
@@ -184,12 +183,10 @@ class DataForest {
   std::vector<ForestWitness> witnesses_;
 
   // Build scratch, kept for the next in-place build: each witness's first
-  // slot in witness_nodes_, one witness's nodes in atom order, per node the
-  // other end of the last edge it was seen in, the edges in first-seen
-  // order, the open-addressing edge set (edges packed as min << 32 | max),
-  // the union-find parents and the component numbering.
+  // slot in witness_nodes_, one witness's nodes in atom order, the edges in
+  // first-seen order, the open-addressing edge set (edges packed as
+  // min << 32 | max), the union-find parents and the component numbering.
   std::vector<uint32_t> witness_first_;
-  std::vector<uint32_t> recent_peer_;
   std::vector<uint32_t> atom_nodes_;
   std::vector<std::pair<uint32_t, uint32_t>> edges_;
   std::vector<uint64_t> edge_slots_;

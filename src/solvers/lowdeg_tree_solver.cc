@@ -57,7 +57,9 @@ Result<VseSolution> LowDegTreeSolver::Solve(const VseInstance& instance) {
     for (size_t k = 0; k < delta_nodes_.size(); ++k) {
       options_.undeletable[delta_nodes_[k]] = delta_red_[k] > tau;
     }
-    if (!primal_dual_.SolveOnTree(structure_, options_, &nodes_).ok()) {
+    if (!PrimalDualTreeSolver::SolveOnTree(structure_, options_, &scratch_,
+                                           &nodes_)
+             .ok()) {
       continue;  // This τ's restriction is infeasible.
     }
     bool seen = false;

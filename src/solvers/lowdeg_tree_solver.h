@@ -24,8 +24,7 @@ class LowDegTreeSolver : public VseSolver {
 
  private:
   TreeStructure structure_;
-  // Runs SolveOnTree on its own scratch.
-  PrimalDualTreeSolver primal_dual_;
+  PrimalDualScratch scratch_;
   PrimalDualOptions options_;
   // The nodes on ΔV paths, ascending, and each one's red degree.
   std::vector<uint32_t> delta_nodes_;

@@ -1,7 +1,9 @@
 #ifndef DELPROP_SOLVERS_PRIMAL_DUAL_TREE_SOLVER_H_
 #define DELPROP_SOLVERS_PRIMAL_DUAL_TREE_SOLVER_H_
 
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "dp/solver.h"
 #include "solvers/tree_common.h"
@@ -23,6 +25,19 @@ struct PrimalDualOptions {
   bool skip_reverse_delete = false;
 };
 
+/// Reusable storage of PrimalDualTreeSolver::SolveOnTree: per node capacity,
+/// used budget and deleted mark; the deletions in order; the ΔV paths
+/// bucketed by LCA depth; and per ΔV path its number of deleted nodes.
+struct PrimalDualScratch {
+  std::vector<double> capacity;
+  std::vector<double> used;
+  std::vector<uint8_t> deleted;
+  std::vector<size_t> deletion_order;
+  std::vector<uint32_t> depth_first;
+  std::vector<uint32_t> order;
+  std::vector<uint32_t> cut_count;
+};
+
 /// Algorithm 1, PrimeDualVSE: the Garg-Vazirani-Yannakakis-style primal-dual
 /// l-approximation for the forest case (Theorem 3). ΔV witnesses are paths
 /// to cut; each path's dual is raised at its LCA in bottom-up order until a
@@ -34,26 +49,18 @@ class PrimalDualTreeSolver : public VseSolver {
   std::string name() const override { return "primal-dual"; }
   Result<VseSolution> Solve(const VseInstance& instance) override;
 
-  /// The core on a built tree structure: sets `deleted` to the deleted
-  /// forest nodes, ascending, or returns Infeasible if some ΔV path has no
-  /// deletable node. Runs on this object's scratch.
-  Status SolveOnTree(const TreeStructure& structure,
-                     const PrimalDualOptions& options,
-                     std::vector<size_t>* deleted);
+  /// The core on a built tree structure, run on `scratch`: sets `deleted`
+  /// to the deleted forest nodes, ascending, or returns Infeasible if some
+  /// ΔV path has no deletable node.
+  static Status SolveOnTree(const TreeStructure& structure,
+                            const PrimalDualOptions& options,
+                            PrimalDualScratch* scratch,
+                            std::vector<size_t>* deleted);
 
  private:
   TreeStructure structure_;
+  PrimalDualScratch scratch_;
   std::vector<size_t> nodes_;
-  // SolveOnTree's scratch: per node capacity, used budget and deleted
-  // mark; the deletions in order; the ΔV paths bucketed by LCA depth; and
-  // per ΔV path its number of deleted nodes.
-  std::vector<double> capacity_;
-  std::vector<double> used_;
-  std::vector<uint8_t> deleted_;
-  std::vector<size_t> deletion_order_;
-  std::vector<uint32_t> depth_first_;
-  std::vector<uint32_t> order_;
-  std::vector<uint32_t> cut_count_;
 };
 
 }  // namespace delprop

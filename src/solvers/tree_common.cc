@@ -60,18 +60,8 @@ void TreeStructure::CollectTouched(const CompiledInstance& plan) {
     }
   }
 
-  // Ascending witness id is the (view, tuple, witness) walk order. When the
-  // touched witnesses are at least an eighth of all, reading the marks in id
-  // order is cheaper than sorting, and still costs O(touched).
-  if (witnesses_.size() >= plan.witness_count() / 8) {
-    witnesses_.clear();
-    for (uint32_t w = 0; w < plan.witness_count(); ++w) {
-      // delprop-lint: hot-path-allocation-ok refills the list it just cleared
-      if (forest_witness_[w] != kNpos) witnesses_.push_back(w);
-    }
-  } else {
-    std::sort(witnesses_.begin(), witnesses_.end());
-  }
+  // Ascending witness id is the (view, tuple, witness) walk order.
+  std::sort(witnesses_.begin(), witnesses_.end());
   for (size_t i = 0; i < witnesses_.size(); ++i) {
     forest_witness_[witnesses_[i]] = static_cast<uint32_t>(i);
   }

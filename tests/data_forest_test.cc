@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <span>
 #include <type_traits>
+#include <vector>
 
 #include "common/rng.h"
 #include "hypergraph/data_forest.h"
@@ -23,6 +25,15 @@ DataForest BuildFromInstance(const VseInstance& instance) {
   return DataForest::Build(instance.ViewPointers());
 }
 
+// Roots `forest` at `roots` (the lowest node of each component when empty).
+DataForest::Rooting RootAt(const DataForest& forest,
+                           std::span<const size_t> roots = {}) {
+  DataForest::Rooting rooting;
+  DataForest::Scratch scratch;
+  forest.RootAt(roots, &rooting, &scratch);
+  return rooting;
+}
+
 TEST(DataForestTest, PathSchemaIsForestWithVerticalWitnesses) {
   Rng rng(11);
   PathSchemaParams params;
@@ -37,7 +48,7 @@ TEST(DataForestTest, PathSchemaIsForestWithVerticalWitnesses) {
 
   std::optional<std::vector<size_t>> pivots = forest.FindPivotRoots();
   ASSERT_TRUE(pivots.has_value());
-  DataForest::Rooting rooting = forest.RootAt(*pivots);
+  DataForest::Rooting rooting = RootAt(forest, *pivots);
   for (const ForestWitness& witness : forest.witnesses()) {
     EXPECT_TRUE(forest.WitnessIsVerticalPath(witness, rooting));
     EXPECT_TRUE(forest.WitnessIsPath(witness, rooting));
@@ -67,7 +78,7 @@ TEST(DataForestTest, StarWitnessesAreNotPaths) {
   Result<GeneratedVse> generated = GenerateStarSchema(rng, params);
   ASSERT_TRUE(generated.ok());
   DataForest forest = BuildFromInstance(*generated->instance);
-  DataForest::Rooting rooting = forest.RootAt();
+  DataForest::Rooting rooting = RootAt(forest);
   bool some_non_path = false;
   for (const ForestWitness& witness : forest.witnesses()) {
     if (witness.nodes.size() >= 4 &&
@@ -166,13 +177,14 @@ TEST(DataForestTest, LeafFirstQueryTriesSeveralPivotCandidates) {
   for (size_t pivot : *pivots) {
     EXPECT_EQ(forest.node_ref(pivot).relation, l0);
   }
-  DataForest::Rooting rooting = forest.RootAt(*pivots);
+  DataForest::Rooting rooting = RootAt(forest, *pivots);
   for (const ForestWitness& witness : forest.witnesses()) {
     EXPECT_TRUE(forest.WitnessIsVerticalPath(witness, rooting));
   }
   // Rooted at its first-touched leaf, component 0 has no vertical witness
   // of three nodes.
-  DataForest::Rooting at_leaf = forest.RootAt({0, *pivots->rbegin()});
+  const std::vector<size_t> leaf_roots = {0, *pivots->rbegin()};
+  DataForest::Rooting at_leaf = RootAt(forest, leaf_roots);
   EXPECT_FALSE(forest.WitnessIsVerticalPath(forest.witnesses()[1], at_leaf));
 }
 
@@ -189,7 +201,7 @@ TEST(DataForestTest, LcaOnChain) {
   ASSERT_TRUE(generated.ok());
   DataForest forest = BuildFromInstance(*generated->instance);
   ASSERT_EQ(forest.node_count(), 5u);
-  DataForest::Rooting rooting = forest.RootAt();
+  DataForest::Rooting rooting = RootAt(forest);
   // On a rooted chain, the LCA of any two nodes is the shallower one.
   for (size_t a = 0; a < 5; ++a) {
     for (size_t b = 0; b < 5; ++b) {

@@ -145,9 +145,11 @@ TEST(PrimalDualTest, UndeletableNodesRespected) {
           .ok());
   PrimalDualOptions options;
   options.undeletable.assign(structure.forest.node_count(), true);
-  PrimalDualTreeSolver solver;
+  PrimalDualScratch scratch;
   std::vector<size_t> nodes;
-  EXPECT_EQ(solver.SolveOnTree(structure, options, &nodes).code(),
+  EXPECT_EQ(PrimalDualTreeSolver::SolveOnTree(structure, options, &scratch,
+                                              &nodes)
+                .code(),
             StatusCode::kInfeasible);
 }
 
